@@ -26,8 +26,6 @@ let set_range cs lo hi =
 let set_negate cs =
   Bytes.init 256 (fun i -> if Bytes.get cs i = '\000' then '\001' else '\000')
 
-let set_mem cs c = Bytes.get cs (Char.code c) = '\001'
-
 let set_single c =
   let cs = set_empty () in
   set_add cs c;
@@ -218,87 +216,235 @@ let compile_nfa node =
   List.iter (fun (s, t) -> eps.(s) <- t :: eps.(s)) b.eps_edges;
   (char_edges, eps, start, accept, b.n_states)
 
+(* --- lazy DFA ------------------------------------------------------------ *)
+
+(* Matching runs a DFA built on demand by subset construction over the
+   NFA above.  A DFA state is an ε-closed set of NFA states, interned by
+   that set; its transition row is filled in the first time each byte
+   class is seen from it.  Bytes that every charset in the pattern
+   treats alike share a class, so rows are a few entries wide.
+
+   Each compiled pattern has two tables.  The searching table adds the
+   NFA start state after every step, which is the ".*" prefix trick for
+   unanchored search; the anchored table does not.  The end anchor
+   changes only the acceptance test, never the transitions.
+
+   A table holds at most [budget] states.  When a new state would not
+   fit, the table is flushed and rebuilt from the state being entered,
+   so a hostile pattern costs at most one subset construction, O(NFA
+   size), per input byte: matching stays linear in the input. *)
+
+let budget = 256
+
+type table = {
+  inject_start : bool;
+  ids : (string, int) Hashtbl.t; (* NFA state-set bitmap -> DFA state *)
+  mutable members : int array array; (* DFA state -> its NFA states *)
+  mutable accepts : bool array; (* DFA state -> its set holds the NFA accept state *)
+  mutable trans : int array; (* state * n_classes + class -> state; -1 = not built *)
+  mutable size : int;
+  mutable flushes : int;
+  mutable start_id : int; (* -1 until interned, and after each flush *)
+}
+
 type t = {
   source : string;
   char_edges : (charset * int) list array;
   eps : int list array;
   start : int;
   accept : int;
-  n_states : int;
+  classes : Bytes.t; (* byte -> class *)
+  class_rep : int array; (* class -> one byte in it *)
+  n_classes : int;
   anchored_start : bool;
   anchored_end : bool;
+  searching : table;
+  anchored : table;
+  mark : Bytes.t; (* scratch bitmap of the NFA set being built *)
+  stack : int array; (* scratch for the ε-closure walk *)
 }
 
+(* Partition the 256 bytes so that two bytes share a class exactly
+   when every charset in the pattern contains both or neither. *)
+let byte_classes char_edges =
+  let cls = Array.make 256 0 in
+  let count = ref 1 in
+  let renumber = Array.make 512 (-1) in
+  Array.iter
+    (List.iter (fun (cs, _) ->
+         Array.fill renumber 0 (2 * !count) (-1);
+         let next = ref 0 in
+         for b = 0 to 255 do
+           let k = (2 * Array.unsafe_get cls b) + Char.code (Bytes.unsafe_get cs b) in
+           let r = Array.unsafe_get renumber k in
+           if r >= 0 then Array.unsafe_set cls b r
+           else begin
+             Array.unsafe_set renumber k !next;
+             Array.unsafe_set cls b !next;
+             incr next
+           end
+         done;
+         count := !next))
+    char_edges;
+  let class_rep = Array.make !count (-1) in
+  for b = 255 downto 0 do
+    class_rep.(cls.(b)) <- b
+  done;
+  (Bytes.init 256 (fun b -> Char.chr cls.(b)), class_rep, !count)
+
+let initial_capacity = 8
+
+let new_table n_classes ~inject_start =
+  {
+    inject_start;
+    ids = Hashtbl.create 16;
+    members = Array.make initial_capacity [||];
+    accepts = Array.make initial_capacity false;
+    trans = Array.make (initial_capacity * n_classes) (-1);
+    size = 0;
+    flushes = 0;
+    start_id = -1;
+  }
+
+let marked t s = Char.code (Bytes.unsafe_get t.mark (s lsr 3)) land (1 lsl (s land 7)) <> 0
+
+let set_mark t s =
+  let i = s lsr 3 in
+  Bytes.unsafe_set t.mark i (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.mark i) lor (1 lsl (s land 7))))
+
+(* Add [s] and everything ε-reachable from it to the set being built. *)
+let add_closure t s =
+  if not (marked t s) then begin
+    set_mark t s;
+    t.stack.(0) <- s;
+    let sp = ref 1 in
+    while !sp > 0 do
+      decr sp;
+      List.iter
+        (fun target ->
+          if not (marked t target) then begin
+            set_mark t target;
+            t.stack.(!sp) <- target;
+            incr sp
+          end)
+        t.eps.(t.stack.(!sp))
+    done
+  end
+
+let flush tbl n_classes =
+  Hashtbl.reset tbl.ids;
+  Array.fill tbl.trans 0 (tbl.size * n_classes) (-1);
+  tbl.size <- 0;
+  tbl.flushes <- tbl.flushes + 1;
+  tbl.start_id <- -1
+
+let grow tbl n_classes =
+  let cap = min budget (2 * Array.length tbl.members) in
+  let extend a ~width ~fill =
+    let b = Array.make (cap * width) fill in
+    Array.blit a 0 b 0 (tbl.size * width);
+    b
+  in
+  tbl.members <- extend tbl.members ~width:1 ~fill:[||];
+  tbl.accepts <- extend tbl.accepts ~width:1 ~fill:false;
+  tbl.trans <- extend tbl.trans ~width:n_classes ~fill:(-1)
+
+(* The DFA state for the set in [t.mark], which is cleared. *)
+let intern t tbl =
+  let key = Bytes.to_string t.mark in
+  Bytes.fill t.mark 0 (Bytes.length t.mark) '\000';
+  match Hashtbl.find_opt tbl.ids key with
+  | Some d -> d
+  | None ->
+    if tbl.size = budget then flush tbl t.n_classes
+    else if tbl.size = Array.length tbl.members then grow tbl t.n_classes;
+    let d = tbl.size in
+    let states = ref [] in
+    for s = Array.length t.eps - 1 downto 0 do
+      if Char.code key.[s lsr 3] land (1 lsl (s land 7)) <> 0 then states := s :: !states
+    done;
+    let states = Array.of_list !states in
+    tbl.members.(d) <- states;
+    tbl.accepts.(d) <- Array.mem t.accept states;
+    Hashtbl.add tbl.ids key d;
+    tbl.size <- d + 1;
+    d
+
+let start_state t tbl =
+  if tbl.start_id < 0 then begin
+    add_closure t t.start;
+    tbl.start_id <- intern t tbl
+  end;
+  tbl.start_id
+
+(* Build the transition of state [d] on byte class [k]. *)
+let step_slow t tbl d k =
+  let byte = t.class_rep.(k) in
+  Array.iter
+    (fun s ->
+      List.iter
+        (fun (cs, target) -> if Bytes.get cs byte = '\001' then add_closure t target)
+        t.char_edges.(s))
+    tbl.members.(d);
+  if tbl.inject_start then add_closure t t.start;
+  let flushes = tbl.flushes in
+  let next = intern t tbl in
+  if tbl.flushes = flushes then tbl.trans.((d * t.n_classes) + k) <- next;
+  next
+
+let run t tbl input ~anchored_end =
+  (* Without an end anchor the first acceptance decides.  State and
+     class indices are in range by construction, hence the unchecked
+     reads. *)
+  let n = String.length input in
+  let rec go d i =
+    if i = n || ((not anchored_end) && Array.unsafe_get tbl.accepts d) then d
+    else
+      let k = Char.code (Bytes.unsafe_get t.classes (Char.code (String.unsafe_get input i))) in
+      let next = Array.unsafe_get tbl.trans ((d * t.n_classes) + k) in
+      go (if next >= 0 then next else step_slow t tbl d k) (i + 1)
+  in
+  tbl.accepts.(go (start_state t tbl) 0)
+
 let compile pattern =
-  let anchored_start = String.length pattern > 0 && pattern.[0] = '^' in
+  let n = String.length pattern in
+  let anchored_start = n > 0 && pattern.[0] = '^' in
   let anchored_end =
-    let n = String.length pattern in
-    n > 0 && pattern.[n - 1] = '$' && (n < 2 || pattern.[n - 2] <> '\\')
+    (* A trailing '$' is literal only when an odd run of backslashes
+       escapes it. *)
+    let rec backslashes i = if i >= 0 && pattern.[i] = '\\' then 1 + backslashes (i - 1) else 0 in
+    n > 0 && pattern.[n - 1] = '$' && backslashes (n - 2) mod 2 = 0
   in
   let core =
     let lo = if anchored_start then 1 else 0 in
-    let hi = String.length pattern - if anchored_end then 1 else 0 in
+    let hi = n - if anchored_end then 1 else 0 in
     String.sub pattern lo (max 0 (hi - lo))
   in
   let st = { pattern = core; pos = 0 } in
   let ast = parse_alt st in
   if st.pos <> String.length core then raise (Parse_error "trailing garbage (unbalanced ')'?)");
   let char_edges, eps, start, accept, n_states = compile_nfa ast in
-  { source = pattern; char_edges; eps; start; accept; n_states; anchored_start; anchored_end }
+  let classes, class_rep, n_classes = byte_classes char_edges in
+  {
+    source = pattern;
+    char_edges;
+    eps;
+    start;
+    accept;
+    classes;
+    class_rep;
+    n_classes;
+    anchored_start;
+    anchored_end;
+    searching = new_table n_classes ~inject_start:true;
+    anchored = new_table n_classes ~inject_start:false;
+    mark = Bytes.make ((n_states + 7) / 8) '\000';
+    stack = Array.make n_states 0;
+  }
 
 let source t = t.source
 
-(* Epsilon-closure into a boolean state set. *)
-let closure t set =
-  let stack = ref [] in
-  Array.iteri (fun s in_set -> if in_set then stack := s :: !stack) set;
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | s :: rest ->
-      stack := rest;
-      List.iter
-        (fun target ->
-          if not set.(target) then begin
-            set.(target) <- true;
-            stack := target :: !stack
-          end)
-        t.eps.(s)
-  done
+let matches t input =
+  run t (if t.anchored_start then t.anchored else t.searching) input ~anchored_end:t.anchored_end
 
-let run t input ~anchored_start ~anchored_end =
-  let current = Array.make t.n_states false in
-  current.(t.start) <- true;
-  closure t current;
-  let accepted = ref (current.(t.accept) && (anchored_end = false || String.length input = 0)) in
-  (* When the search is unanchored at the start we re-inject the start
-     state before every character, which is the ".*" prefix trick. *)
-  let next = Array.make t.n_states false in
-  let n = String.length input in
-  let i = ref 0 in
-  while (not !accepted) && !i < n do
-    let c = input.[!i] in
-    Array.fill next 0 t.n_states false;
-    Array.iteri
-      (fun s in_set ->
-        if in_set then
-          List.iter (fun (cs, target) -> if set_mem cs c then next.(target) <- true) t.char_edges.(s))
-      current;
-    if not anchored_start then next.(t.start) <- true;
-    closure t next;
-    Array.blit next 0 current 0 t.n_states;
-    incr i;
-    if current.(t.accept) then
-      if anchored_end then begin
-        if !i = n then accepted := true
-        (* else: keep going, may accept again exactly at the end *)
-      end
-      else accepted := true
-  done;
-  (* Anchored-end acceptance is only valid after the last character. *)
-  if (not !accepted) && anchored_end then accepted := current.(t.accept) && !i = n;
-  !accepted
-
-let matches t input = run t input ~anchored_start:t.anchored_start ~anchored_end:t.anchored_end
-
-let matches_exact t input = run t input ~anchored_start:true ~anchored_end:true
+let matches_exact t input = run t t.anchored input ~anchored_end:true

@@ -10,8 +10,8 @@ let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 let string_t = Alcotest.string
 
-let qtest ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest ?(count = 200) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
 
 (* ---------------- Regex ---------------- *)
 
@@ -89,8 +89,8 @@ let test_regex_matches_exact () =
   check bool_t "exact miss (suffix junk)" false (Regex.matches_exact r "abbbx")
 
 let test_regex_no_blowup () =
-  (* (a+)+b against aaaa...a! is exponential for backtrackers; the NFA
-     simulation must stay linear. *)
+  (* (a+)+b against aaaa...a! is exponential for backtrackers; the
+     automaton must stay linear. *)
   let r = Regex.compile "(a+)+b" in
   let input = String.make 50 'a' ^ "!" in
   let t0 = Unix.gettimeofday () in
@@ -99,6 +99,101 @@ let test_regex_no_blowup () =
 
 let test_regex_source () =
   check string_t "source preserved" "^a(b|c)$" (Regex.source (Regex.compile "^a(b|c)$"))
+
+let test_regex_escaped_end_anchor () =
+  (* A trailing '$' is an anchor unless an odd run of backslashes
+     escapes it. *)
+  check bool_t "\\$ is a literal dollar" true (m "\\$" "cost $5");
+  check bool_t "\\$ needs a dollar" false (m "\\$" "cost 5");
+  check bool_t "\\\\$ anchors after a backslash" true (m "a\\\\$" "xa\\");
+  check bool_t "\\\\$ is not the text a\\$" false (m "a\\\\$" "a\\$");
+  check bool_t "\\\\$ rejects a later byte" false (m "a\\\\$" "a\\b");
+  check bool_t "\\\\\\$ is the text a\\$" true (m "a\\\\\\$" "xa\\$y");
+  check bool_t "\\\\\\$ needs the dollar" false (m "a\\\\\\$" "xa\\");
+  List.iter
+    (fun (pattern, input) ->
+      check bool_t
+        (Printf.sprintf "oracle agrees on %S / %S" pattern input)
+        (Regex_oracle.matches (Regex_oracle.compile pattern) input)
+        (m pattern input))
+    [ ("\\$", "$"); ("a\\\\$", "a\\"); ("a\\\\\\$", "a\\$"); ("a\\\\$", "a\\$") ]
+
+(* State budget: (a|b)*a(a|b){10} needs one DFA state per window of
+   the last 11 bytes, 2^11 in all, far more than a table holds. *)
+let ab10 = String.concat "" (List.init 10 (fun _ -> "(a|b)"))
+
+let budget_pattern = "(a|b)*a" ^ ab10
+
+(* The same language, as an unanchored search for a suffix. *)
+let budget_search_pattern = "a" ^ ab10 ^ "$"
+
+let random_ab ~seed n =
+  let g = Prng.create ~seed in
+  String.init n (fun _ -> if Prng.bool g then 'a' else 'b')
+
+(* Binary de Bruijn sequence of order [k] (prefer-ones construction):
+   every k-byte window over {a,b} occurs exactly once. *)
+let de_bruijn k =
+  let seen = Hashtbl.create (1 lsl k) in
+  let buf = Buffer.create ((1 lsl k) + k) in
+  Buffer.add_string buf (String.make k 'b');
+  Hashtbl.add seen (String.make k 'b') ();
+  let rec extend () =
+    let len = Buffer.length buf in
+    let window c = Buffer.sub buf (len - k + 1) (k - 1) ^ String.make 1 c in
+    match List.find_opt (fun c -> not (Hashtbl.mem seen (window c))) [ 'a'; 'b' ] with
+    | Some c ->
+      Hashtbl.add seen (window c) ();
+      Buffer.add_char buf c;
+      extend ()
+    | None -> ()
+  in
+  extend ();
+  Buffer.contents buf
+
+let test_regex_state_budget () =
+  let input = random_ab ~seed:2024L 100_000 in
+  let exact = Regex.compile budget_pattern in
+  let search = Regex.compile budget_search_pattern in
+  let t0 = Unix.gettimeofday () in
+  let got_exact = Regex.matches_exact exact input in
+  let got_search = Regex.matches search input in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  let expected = input.[String.length input - 11] = 'a' in
+  check bool_t "exact: direct answer" expected got_exact;
+  check bool_t "exact: oracle"
+    (Regex_oracle.matches_exact (Regex_oracle.compile budget_pattern) input) got_exact;
+  check bool_t "search: direct answer" expected got_search;
+  check bool_t "search: oracle"
+    (Regex_oracle.matches (Regex_oracle.compile budget_search_pattern) input) got_search;
+  check bool_t "under a second" true (elapsed < 1.0)
+
+let test_regex_flush_mid_string () =
+  (* The de Bruijn walk visits all 2^11 window states, so each table
+     flushes several times inside one input; the answer is then decided
+     by the 11 bytes appended after the last flush. *)
+  let walk = de_bruijn 11 in
+  let exact = Regex.compile budget_pattern in
+  let search = Regex.compile budget_search_pattern in
+  let oracle_exact = Regex_oracle.compile budget_pattern in
+  let oracle_search = Regex_oracle.compile budget_search_pattern in
+  List.iter
+    (fun (tail, expected) ->
+      let input = walk ^ tail in
+      check bool_t ("exact " ^ tail) expected (Regex.matches_exact exact input);
+      check bool_t ("exact oracle " ^ tail) (Regex_oracle.matches_exact oracle_exact input)
+        (Regex.matches_exact exact input);
+      check bool_t ("search " ^ tail) expected (Regex.matches search input);
+      check bool_t ("search oracle " ^ tail) (Regex_oracle.matches oracle_search input)
+        (Regex.matches search input))
+    [ ("abbbbbbbbbb", true); ("bbbbbbbbbbb", false); ("aaaaaaaaaab", true); ("baaaaaaaaaa", false) ];
+  (* A table left mid-flush by one call serves the next. *)
+  for len = 0 to 40 do
+    let input = random_ab ~seed:(Int64.of_int len) (len * 17) in
+    check bool_t (Printf.sprintf "reused table, length %d" (len * 17))
+      (Regex_oracle.matches_exact oracle_exact input)
+      (Regex.matches_exact exact input)
+  done
 
 (* Property: compare the NFA engine against a naive reference matcher
    over a structurally generated pattern AST (alphabet {a,b}). *)
@@ -112,11 +207,11 @@ let rec rx_to_string = function
 
 exception Ref_gave_up
 
-(* [ref_match rx s i k]: can rx consume a prefix of s starting at i,
-   continuing with [k] on the rest?  [depth] bounds the backtracking;
-   when the bound trips, the oracle abstains (Ref_gave_up) rather than
+(* [ref_match rx s ~start ~finish]: can rx consume s from [start] to
+   some j with [finish j]?  [depth] bounds the backtracking; when the
+   bound trips, the oracle abstains (Ref_gave_up) rather than
    mis-reporting "no match". *)
-let ref_match_exact rx s =
+let ref_match rx s ~start ~finish =
   let n = String.length s in
   let rec go rx i depth k =
     if depth > 400 then raise Ref_gave_up;
@@ -128,7 +223,14 @@ let ref_match_exact rx s =
       k i
       || go a i (depth + 1) (fun j -> if j > i then go (Star a) j (depth + 1) k else false)
   in
-  go rx 0 0 (fun i -> i = n)
+  go rx start 0 finish
+
+let ref_match_exact rx s = ref_match rx s ~start:0 ~finish:(fun j -> j = String.length s)
+
+let ref_match_substring rx s =
+  List.exists
+    (fun start -> ref_match rx s ~start ~finish:(fun _ -> true))
+    (List.init (String.length s + 1) Fun.id)
 
 let gen_rx =
   QCheck2.Gen.(
@@ -153,9 +255,76 @@ let prop_regex_vs_reference =
     (fun (rx, s) ->
       let pattern = rx_to_string rx in
       let compiled = Regex.compile pattern in
-      match ref_match_exact rx s with
+      (match ref_match_exact rx s with
       | expected -> Regex.matches_exact compiled s = expected
       | exception Ref_gave_up -> true)
+      &&
+      match ref_match_substring rx s with
+      | expected -> Regex.matches compiled s = expected
+      | exception Ref_gave_up -> true)
+
+(* Differential properties against the original NFA simulation
+   (test/regex_oracle.ml), over the whole pattern syntax. *)
+let gen_atom =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (String.make 1) (oneofl [ 'a'; 'b'; 'c'; '0'; '1'; ' '; '-'; '\000'; '\233'; '\255' ]);
+        return ".";
+        oneofl [ "[a-c]"; "[^ab]"; "[b-d0-3]"; "[^a-z]"; "[a-]"; "[\\]a]"; "[.$]"; "[^\\\\]"; "[\128-\255]"; "[^\000-\127]" ];
+        oneofl [ "\\d"; "\\w"; "\\s" ];
+        oneofl
+          [ "\\."; "\\*"; "\\+"; "\\?"; "\\("; "\\)"; "\\["; "\\]"; "\\|"; "\\\\"; "\\$"; "\\^" ];
+      ])
+
+let gen_pattern =
+  QCheck2.Gen.(
+    let body =
+      sized_size (int_bound 12)
+      @@ fix (fun self size ->
+             if size <= 1 then gen_atom
+             else
+               frequency
+                 [
+                   (3, gen_atom);
+                   (3, map2 ( ^ ) (self (size / 2)) (self (size / 2)));
+                   (2, map2 (fun a b -> a ^ "|" ^ b) (self (size / 2)) (self (size / 2)));
+                   (1, map (fun a -> "(" ^ a ^ "|)") (self (size - 1)));
+                   (2, map (fun a -> "(" ^ a ^ ")") (self (size - 1)));
+                   (2, map2 (fun a op -> "(" ^ a ^ ")" ^ op) (self (size / 2)) (oneofl [ "*"; "+"; "?" ]));
+                   (2, map2 ( ^ ) gen_atom (oneofl [ "*"; "+"; "?" ]));
+                 ])
+    in
+    map3 (fun caret b dollar -> (if caret then "^" else "") ^ b ^ if dollar then "$" else "") bool body bool)
+
+let gen_inputs char_gen =
+  QCheck2.Gen.(list_size (int_range 1 4) (string_size ~gen:char_gen (int_bound 300)))
+
+(* Several inputs per compiled pattern, so later inputs meet a DFA
+   table already partly built. *)
+let prop_regex_vs_oracle name char_gen =
+  qtest ~count:1000 name
+    ~print:QCheck2.Print.(pair string (list string))
+    QCheck2.Gen.(pair gen_pattern (gen_inputs char_gen))
+    (fun (pattern, inputs) ->
+      match (Regex.compile pattern, Regex_oracle.compile pattern) with
+      | exception Regex.Parse_error _ -> (
+        match Regex_oracle.compile pattern with
+        | exception Regex_oracle.Parse_error _ -> true
+        | _ -> false)
+      | dfa, nfa ->
+        List.for_all
+          (fun s ->
+            Regex.matches dfa s = Regex_oracle.matches nfa s
+            && Regex.matches_exact dfa s = Regex_oracle.matches_exact nfa s)
+          inputs)
+
+let prop_regex_oracle_small_alphabet =
+  prop_regex_vs_oracle "regex: DFA agrees with the NFA oracle (small alphabet)"
+    (QCheck2.Gen.oneofl [ 'a'; 'b'; 'c'; '0'; '1'; ' '; '-'; '.'; '$'; '\\'; ']'; '\000'; '\233' ])
+
+let prop_regex_oracle_any_byte =
+  prop_regex_vs_oracle "regex: DFA agrees with the NFA oracle (any byte)" QCheck2.Gen.char
 
 (* ---------------- Value ---------------- *)
 
@@ -1046,7 +1215,12 @@ let () =
           Alcotest.test_case "anchor corners" `Quick test_regex_anchor_corners;
           Alcotest.test_case "star give-back" `Quick test_regex_star_backtracking;
           Alcotest.test_case "class edges" `Quick test_regex_class_edges;
+          Alcotest.test_case "escaped end anchor" `Quick test_regex_escaped_end_anchor;
+          Alcotest.test_case "state budget" `Quick test_regex_state_budget;
+          Alcotest.test_case "flush mid-string" `Quick test_regex_flush_mid_string;
           prop_regex_vs_reference;
+          prop_regex_oracle_small_alphabet;
+          prop_regex_oracle_any_byte;
         ] );
       ( "value",
         [
