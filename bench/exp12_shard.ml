@@ -184,26 +184,21 @@ let run ?(quick = false) fmt =
     "@.throughput monotone K=1->16: %b   all liars caught: %b   max detection \
      within %.1fs budget: %b@."
     monotone all_detected budget within_budget;
-  match Sys.getenv_opt "SECREP_E12_JSON" with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      let case o =
-        Printf.sprintf
-          "{\"k\": %d, \"issued\": %d, \"accepted\": %d, \"gave_up\": %d,\n\
-          \  \"throughput\": %.3f, \"liars\": %d, \"detected\": %d,\n\
-          \  \"mean_detection\": %.3f, \"max_detection\": %.3f}"
-          o.k o.issued o.accepted o.gave_up o.throughput o.liars o.detected
-          o.mean_detect o.max_detect
-      in
-      Printf.fprintf oc
-        "{\"experiment\": \"e12\", \"duration\": %.1f, \"offered_rate\": %.1f,\n\
-        \ \"pool\": %d, \"replication\": %d,\n\
-        \ \"detection_budget\": %.2f,\n\
-        \ \"monotone_throughput\": %b, \"all_detected\": %b, \"within_budget\": %b,\n\
-        \ \"cases\": [%s]}\n"
-        duration total_rate pool replication budget monotone all_detected
-        within_budget
-        (String.concat ",\n  " (List.map case results));
-      close_out oc;
-      Format.fprintf fmt "wrote JSON summary to %s@." path
+  Exp_common.write_json fmt ~experiment:"e12" (fun oc ->
+    let case o =
+      Printf.sprintf
+        "{\"k\": %d, \"issued\": %d, \"accepted\": %d, \"gave_up\": %d,\n\
+        \  \"throughput\": %.3f, \"liars\": %d, \"detected\": %d,\n\
+        \  \"mean_detection\": %.3f, \"max_detection\": %.3f}"
+        o.k o.issued o.accepted o.gave_up o.throughput o.liars o.detected
+        o.mean_detect o.max_detect
+    in
+    Printf.fprintf oc
+      "{\"experiment\": \"e12\", \"duration\": %.1f, \"offered_rate\": %.1f,\n\
+      \ \"pool\": %d, \"replication\": %d,\n\
+      \ \"detection_budget\": %.2f,\n\
+      \ \"monotone_throughput\": %b, \"all_detected\": %b, \"within_budget\": %b,\n\
+      \ \"cases\": [%s]}\n"
+      duration total_rate pool replication budget monotone all_detected
+      within_budget
+      (String.concat ",\n  " (List.map case results)))

@@ -307,10 +307,7 @@ let run ?(quick = false) fmt =
     "@.mean reads-before-detection: uniform %.2f vs adaptive %.2f — adaptive strictly \
      better: %b   zero false accusations: %b@."
     uniform_mean adaptive_mean strictly_better (not any_false);
-  match Sys.getenv_opt "SECREP_E13_JSON" with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
+  Exp_common.write_json fmt ~experiment:"e13" (fun oc ->
     let part1 =
       String.concat ",\n  "
         (List.map
@@ -344,6 +341,4 @@ let run ?(quick = false) fmt =
       \ \"compared\": [%s]}\n"
       duration trials fraction all_detected
       (no_false && not any_false)
-      uniform_mean adaptive_mean strictly_better part1 part2;
-    close_out oc;
-    Format.fprintf fmt "wrote JSON summary to %s@." path
+      uniform_mean adaptive_mean strictly_better part1 part2)

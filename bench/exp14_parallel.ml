@@ -167,10 +167,7 @@ let run ?(quick = false) fmt =
   if not all_identical then
     failwith "E14: parallel scheduler diverged from the sequential stream";
   if not speedup_ok then failwith "E14: speedup below 1.5x at 4 domains on a 4+ core machine";
-  match Sys.getenv_opt "SECREP_E14_JSON" with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
+  Exp_common.write_json fmt ~experiment:"e14" (fun oc ->
     let case o =
       Printf.sprintf
         "{\"domains\": %d, \"wall_s\": %.3f, \"speedup\": %.3f, \"events\": %d,\n\
@@ -184,6 +181,4 @@ let run ?(quick = false) fmt =
       \ \"cases\": [%s]}\n"
       k duration total_rate cores baseline.wall all_identical speedup_gate_applies
       speedup_ok
-      (String.concat ",\n  " (List.map case results));
-    close_out oc;
-    Format.fprintf fmt "wrote JSON summary to %s@." path
+      (String.concat ",\n  " (List.map case results)))

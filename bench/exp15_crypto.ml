@@ -224,10 +224,7 @@ let run ?(quick = false) fmt =
     (if gate_applies then "checked in CI" else "skipped: too few baseline iterations");
   if not bit_identical then
     failwith "E15: Montgomery kernel diverged from the schoolbook baseline";
-  match Sys.getenv_opt "SECREP_E15_JSON" with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
+  Exp_common.write_json fmt ~experiment:"e15" (fun oc ->
     let row_json r =
       Printf.sprintf
         "{\"op\": \"%s\", \"bits\": %d, \"ops_s_mont\": %.2f, \"ops_s_seed\": %.2f,\n\
@@ -245,6 +242,4 @@ let run ?(quick = false) fmt =
       budget (speedup_of "sign" 512) (speedup_of "verify" 512) combined_512 gate_applies
       bit_identical
       e2e_bits reads wall_mont wall_seed (wall_seed /. wall_mont) e2e_identical digest_mont
-      (String.concat ",\n  " (List.map row_json all));
-    close_out oc;
-    Format.fprintf fmt "wrote JSON summary to %s@." path
+      (String.concat ",\n  " (List.map row_json all)))

@@ -58,3 +58,15 @@ let mean = function
   | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
 
 let quick_factor quick = if quick then 0.25 else 1.0
+
+let json_dir = ref None
+
+let write_json fmt ~experiment write =
+  match !json_dir with
+  | None -> ()
+  | Some dir ->
+    let path = Filename.concat dir (experiment ^ ".json") in
+    let oc = open_out path in
+    write oc;
+    close_out oc;
+    Format.fprintf fmt "wrote JSON summary to %s@." path

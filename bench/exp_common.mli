@@ -37,3 +37,12 @@ val drain : Secrep_core.System.t -> extra:float -> unit
 val mean : float list -> float
 val quick_factor : bool -> float
 (** Scale factor for run lengths: 1.0 normally, smaller when --quick. *)
+
+val json_dir : string option ref
+(** Where experiments write their JSON summaries ([bench/main.exe --json
+    DIR]); [None], the default, writes none. *)
+
+val write_json : Format.formatter -> experiment:string -> (out_channel -> unit) -> unit
+(** [write_json fmt ~experiment write] runs [write] on
+    [DIR/<experiment>.json] and announces the path on [fmt]; a no-op
+    without [--json]. *)

@@ -1,10 +1,11 @@
 (* Benchmark & experiment harness.
 
-   Usage: dune exec bench/main.exe -- [--full] [e1 e2 ... e8 | micro | all]
+   Usage: dune exec bench/main.exe -- [--full] [--json DIR] [e1 e2 ... e15 | micro | all]
 
    With no arguments every experiment plus the micro-benchmarks run in
    quick mode; --full lengthens the runs (more trials, longer
-   simulated durations).  Each experiment regenerates one table or
+   simulated durations); --json DIR makes E11-E15 also write their
+   machine-readable summaries to DIR/e11.json .. DIR/e15.json.  Each experiment regenerates one table or
    figure of EXPERIMENTS.md. *)
 
 let experiments =
@@ -35,7 +36,14 @@ let experiments =
   ]
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
+  let rec take_json = function
+    | "--json" :: dir :: rest ->
+      Secrep_experiments.Exp_common.json_dir := Some dir;
+      take_json rest
+    | arg :: rest -> arg :: take_json rest
+    | [] -> []
+  in
+  let args = take_json (List.tl (Array.to_list Sys.argv)) in
   let full = List.mem "--full" args in
   let quick = not full in
   let selected =

@@ -79,17 +79,88 @@ let write_out path content =
     output_string oc content;
     close_out oc
 
-(* -- online monitoring (lineage + SLO) ---------------------------------- *)
+let fail fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 2) fmt
+
+(* -- one execution path ------------------------------------------------
+
+   [run], [chaos] and [campaign] simulate over one shard array.
+   [--shards 1] is a bare System, seeded exactly as the classic run
+   always was (a 1-shard Deployment would derive a different seed);
+   [--shards K] (K > 1) is the K systems of a [Secrep_shard.Deployment]
+   over a shared host pool.  Flags, config, monitors, the attack,
+   trace capture and output are shared; construction and content load,
+   the workload, chaos arming, the run horizon and the summary printers
+   are per case. *)
 
 module Slo = Secrep_monitor.Slo
 module Lineage = Secrep_monitor.Lineage
 module Health = Secrep_monitor.Health
+module Deployment = Secrep_shard.Deployment
+module Cross = Secrep_workload.Cross
+
+type topology = {
+  masters : int;
+  slaves_per_master : int;  (** after --replication-factor *)
+  replication : int;  (** replicas per content item *)
+  shards : int;
+  domains : int;
+  clients : int;
+  items : int;
+  seed : int;
+}
+
+type workload = { duration : float; read_rate : float; write_rate : float }
+
+type output = {
+  trace_out : string option;
+  trace_format : string;
+  metrics_out : string option;
+  slo : bool;
+  slo_out : string option;
+  lineage_out : string option;
+  trace_capacity : int option;
+  span_capacity : int option;
+}
+
+let no_output =
+  {
+    trace_out = None;
+    trace_format = "jsonl";
+    metrics_out = None;
+    slo = false;
+    slo_out = None;
+    lineage_out = None;
+    trace_capacity = None;
+    span_capacity = None;
+  }
+
+let monitored out = out.slo || out.slo_out <> None || out.lineage_out <> None
+
+(* Reject bad output flags before spending time on the simulation.  A
+   K > 1 run has no single trace ring, span ring, stats registry or
+   lineage to dump, so those flags exit 2 instead of being dropped;
+   [sharded_slo] says whether the command runs per-shard SLO monitors. *)
+let check_output ~shards ~sharded_slo out =
+  if out.trace_format <> "jsonl" && out.trace_format <> "chrome" then
+    fail "unknown trace format %S (expected jsonl or chrome)" out.trace_format;
+  if shards > 1 then
+    List.iter
+      (fun (used, flag) -> if used then fail "%s is not supported with --shards > 1" flag)
+      [
+        (out.trace_format <> "jsonl", "--trace-format chrome");
+        (out.metrics_out <> None, "--metrics-out");
+        (out.lineage_out <> None, "--lineage-out");
+        ((not sharded_slo) && out.slo, "--slo");
+        ((not sharded_slo) && out.slo_out <> None, "--slo-out");
+        (out.trace_capacity <> None, "--trace-capacity");
+        (out.span_capacity <> None, "--span-capacity");
+      ]
 
 type monitoring = { m_slo : Slo.t; m_lineage : Lineage.t }
 
 (* Subscribe both monitors through one [on_emit] callback so lineage
    sees each event before the SLO engine can emit alerts about it. *)
-let attach_monitoring system ~config =
+let attach_monitoring ~config system =
   let slo = Slo.create ~trace:(System.trace system) ~config:(Slo.config config) () in
   let lineage = Lineage.create () in
   Trace.on_emit (System.trace system) (fun r ->
@@ -97,23 +168,286 @@ let attach_monitoring system ~config =
       Slo.observe slo r);
   { m_slo = slo; m_lineage = lineage }
 
-let finish_monitoring m system ~slo_out ~lineage_out ~print_report =
-  Slo.finalize m.m_slo ~now:(Secrep_sim.Sim.now (System.sim system));
-  let health =
-    Health.build ~trace:(System.trace system) ~spans:(System.spans system) ~slo:m.m_slo
-      ~lineage:m.m_lineage ()
-  in
-  if print_report then Format.printf "@.%a" Health.pp health;
-  (match slo_out with
-  | None -> ()
-  | Some path -> write_out path (Export.Json.to_string (Health.to_json health) ^ "\n"));
-  (match lineage_out with
-  | None -> ()
-  | Some path -> write_out path (Lineage.jsonl m.m_lineage));
-  health
+type plane = Single of System.t | Sharded of Deployment.t
 
-let monitoring_args =
-  let open Cmdliner in
+type attack = { slave : int; mode : string; probability : float; from_time : float }
+
+type 'a sim = {
+  plane : plane;
+  systems : System.t array;
+  monitors : monitoring array option;
+  attached : 'a;  (** what the command's [attach] subscribed *)
+  tagged_rev : string list ref;  (** K > 1 shard-tagged trace lines *)
+  rng : Prng.t;  (** the workload stream, seed + 1 *)
+  keys : string array array;  (** content keys per shard *)
+}
+
+(* Build the shard array and everything that must see it before the
+   workload: monitors, the command's [attach] subscribers, the K > 1
+   trace tap, the content, then the attack on shard [slave mod K]. *)
+let start topo ~config ~out ?attack ~attach () =
+  let plane =
+    if topo.shards > 1 then
+      Sharded
+        (Deployment.create ~n_shards:topo.shards ~n_masters:topo.masters
+           ~replication_factor:topo.replication ~n_clients:topo.clients ~config
+           ~seed:(Int64.of_int topo.seed) ~items_per_shard:topo.items ~domains:topo.domains
+           ())
+    else
+      Single
+        (System.create ~n_masters:topo.masters ~slaves_per_master:topo.slaves_per_master
+           ~n_clients:topo.clients ~config ~seed:(Int64.of_int topo.seed)
+           ?trace_capacity:out.trace_capacity ?span_capacity:out.span_capacity ())
+  in
+  let systems =
+    match plane with
+    | Single system -> [| system |]
+    | Sharded d -> Array.init topo.shards (Deployment.system d)
+  in
+  let monitors =
+    if monitored out then Some (Array.map (attach_monitoring ~config) systems) else None
+  in
+  let attached = attach systems in
+  let tagged_rev = ref [] in
+  (match plane with
+  | Sharded d when out.trace_out <> None ->
+    Deployment.on_event d (fun ~shard r ->
+        tagged_rev := Deployment.tagged_line ~shard r :: !tagged_rev)
+  | _ -> ());
+  (* The classic catalogue comes off the same seed + 1 stream the
+     workload then splits; a deployment loaded each shard's own
+     catalogue at create. *)
+  let rng = Prng.create ~seed:(Int64.of_int (topo.seed + 1)) in
+  let keys =
+    match plane with
+    | Single system ->
+      let content = Catalog.product_catalog rng ~n:topo.items in
+      System.load_content system content;
+      [| Array.of_list (List.map fst content) |]
+    | Sharded d -> Array.init topo.shards (Deployment.keys d)
+  in
+  Option.iter
+    (fun a ->
+      match lie_mode_of_string a.mode with
+      | Error msg -> fail "%s" msg
+      | Ok mode ->
+        let n = System.n_slaves systems.(0) in
+        if a.slave < 0 || a.slave >= n then fail "slave %d out of range (0..%d)" a.slave (n - 1);
+        System.set_slave_behavior
+          systems.(a.slave mod Array.length systems)
+          ~slave:a.slave
+          (Fault.Malicious { probability = a.probability; mode; from_time = a.from_time }))
+    attack;
+  { plane; systems; monitors; attached; tagged_rev; rng; keys }
+
+(* K = 1 workload: the classic Poisson driver over the catalogue. *)
+let drive_single sim work =
+  let mix = Mix.create ~rng:(Prng.split sim.rng) ~keys:sim.keys.(0) () in
+  let driver = Driver.create sim.systems.(0) ~mix ~rng:(Prng.split sim.rng) () in
+  Driver.run_reads driver ~rate:work.read_rate ~duration:work.duration;
+  if work.write_rate > 0.0 then
+    Driver.run_writes driver ~rate:work.write_rate ~duration:work.duration ~writer:0;
+  driver
+
+type tally = {
+  issued : int array;
+  accepted : int array;
+  by_master : int array;
+  gave_up : int array;
+}
+
+(* K > 1 workload: Zipf over contents (with [rotate_period], the hot
+   shard rotates) x Zipf over keys within each shard's own catalogue. *)
+let drive_cross sim d ~clients ?rotate_period work =
+  let k = Array.length sim.systems in
+  let t =
+    {
+      issued = Array.make k 0;
+      accepted = Array.make k 0;
+      by_master = Array.make k 0;
+      gave_up = Array.make k 0;
+    }
+  in
+  let bump counts shard = counts.(shard) <- counts.(shard) + 1 in
+  let on_done shard (r : Secrep_core.Client.read_report) =
+    match r.Secrep_core.Client.outcome with
+    | `Accepted _ -> bump t.accepted shard
+    | `Served_by_master _ -> bump t.by_master shard
+    | `Gave_up -> bump t.gave_up shard
+  in
+  let mixes = Array.init k (fun i -> Mix.create ~rng:(Prng.split sim.rng) ~keys:sim.keys.(i) ()) in
+  let pick_client = Prng.split sim.rng in
+  let cross = Cross.create ~rng:(Prng.split sim.rng) ~n_shards:k ?rotate_period () in
+  (* Client ids are presampled in arrival order: [arrivals] is
+     time-sorted, so this matches what callback-time draws produced
+     sequentially, and keeps shard callbacks free of shared RNG state
+     (required for the parallel scheduler's determinism contract). *)
+  List.iter
+    (fun (at, shard) ->
+      let client = Prng.int pick_client clients in
+      Deployment.schedule d ~shard ~time:at (fun () ->
+          bump t.issued shard;
+          Deployment.read d ~shard ~client
+            (Mix.next_query mixes.(shard))
+            ~on_done:(on_done shard)))
+    (Cross.arrivals cross ~rate:work.read_rate ~duration:work.duration);
+  if work.write_rate > 0.0 then begin
+    let wcross = Cross.create ~rng:(Prng.split sim.rng) ~n_shards:k () in
+    List.iter
+      (fun (at, shard) ->
+        Deployment.schedule d ~shard ~time:at (fun () ->
+            Deployment.write d ~shard ~client:0
+              (Mix.next_write mixes.(shard))
+              ~on_done:(fun _ -> ())))
+      (Cross.arrivals wcross ~rate:work.write_rate ~duration:work.duration)
+  end;
+  t
+
+(* Horizon of the workload-only commands: the workload plus room for
+   the last writes to commit and the auditor to catch up. *)
+let settle_horizon ~config work = work.duration +. (4.0 *. config.Config.max_latency) +. 60.0
+
+let excluded_ids ~sep system =
+  String.concat sep (List.map string_of_int (Corrective.excluded (System.corrective system)))
+
+(* Finalize the monitors before the trace dump so end-of-run alerts
+   (e.g. a never-accused liar) appear in the dump too, then write the
+   trace and metrics.  K > 1 reports and SLO summaries are per shard. *)
+let finish sim out ~print_report =
+  let many = Array.length sim.systems > 1 in
+  (match sim.monitors with
+  | None -> ()
+  | Some monitors ->
+    let healths =
+      Array.mapi
+        (fun i m ->
+          let system = sim.systems.(i) in
+          Slo.finalize m.m_slo ~now:(Secrep_sim.Sim.now (System.sim system));
+          let health =
+            Health.build ~trace:(System.trace system) ~spans:(System.spans system)
+              ~slo:m.m_slo ~lineage:m.m_lineage ()
+          in
+          if print_report then
+            if many then Format.printf "@.-- shard %d --@.%a" i Health.pp health
+            else Format.printf "@.%a" Health.pp health;
+          health)
+        monitors
+    in
+    Option.iter
+      (fun path ->
+        let json i health =
+          if many then
+            Export.Json.Obj [ ("shard", Export.Json.Int i); ("health", Health.to_json health) ]
+          else Health.to_json health
+        in
+        write_out path
+          (String.concat "\n"
+             (Array.to_list (Array.mapi (fun i h -> Export.Json.to_string (json i h)) healths))
+          ^ "\n"))
+      out.slo_out;
+    Option.iter (fun path -> write_out path (Lineage.jsonl monitors.(0).m_lineage)) out.lineage_out);
+  Option.iter
+    (fun path ->
+      write_out path
+        (match sim.plane with
+        | Sharded _ -> String.concat "\n" (List.rev !(sim.tagged_rev)) ^ "\n"
+        | Single system when out.trace_format = "jsonl" ->
+          Export.jsonl_of_trace (System.trace system)
+        | Single system ->
+          Export.chrome_of ~spans:(System.spans system) ~trace:(System.trace system) ()))
+    out.trace_out;
+  Option.iter
+    (fun path -> write_out path (Export.prometheus_of_stats (System.stats sim.systems.(0))))
+    out.metrics_out
+
+(* -- shared flags -------------------------------------------------------- *)
+
+open Cmdliner
+
+(* Topology flags; per-command defaults come in as arguments.  Without
+   [shards_doc] the command has no sharding flags and runs K = 1. *)
+let topology_term ?shards_doc ~clients ~items ~seed_doc () =
+  let masters = Arg.(value & opt int 2 & info [ "masters" ] ~doc:"Number of master servers.") in
+  let slaves =
+    Arg.(value & opt int 3 & info [ "slaves-per-master" ] ~doc:"Slaves per master.")
+  in
+  let clients = Arg.(value & opt int clients & info [ "clients" ] ~doc:"Number of clients.") in
+  let items = Arg.(value & opt int items & info [ "items" ] ~doc:"Documents in the content.") in
+  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:seed_doc) in
+  let shards, domains, replication_factor =
+    match shards_doc with
+    | None -> (Term.const 1, Term.const 0, Term.const None)
+    | Some doc ->
+      ( Arg.(value & opt int 1 & info [ "shards" ] ~doc),
+        Arg.(
+          value
+          & opt int 0
+          & info [ "domains" ]
+              ~doc:
+                "Worker domains for a sharded deployment (--shards > 1).  0 or 1 runs the \
+                 shards sequentially in lockstep; >1 advances them on a parallel domain \
+                 pool.  Both modes produce bit-identical event streams; ignored for \
+                 single-system runs."),
+        Arg.(
+          value
+          & opt (some int) None
+          & info [ "replication-factor" ]
+              ~doc:
+                "Replicas per content item (default: masters x slaves-per-master).  \
+                 Overrides --slaves-per-master with R / masters.") )
+  in
+  Term.(
+    const (fun masters slaves shards domains replication_factor clients items seed ->
+        let slaves_per_master, replication =
+          match replication_factor with
+          | Some r -> (max 1 (r / max 1 masters), r)
+          | None -> (slaves, masters * slaves)
+        in
+        { masters; slaves_per_master; replication; shards; domains; clients; items; seed })
+    $ masters $ slaves $ shards $ domains $ replication_factor $ clients $ items $ seed)
+
+let workload_term ~duration ~duration_doc ~read_rate =
+  let duration = Arg.(value & opt float duration & info [ "duration" ] ~doc:duration_doc) in
+  let read_rate =
+    Arg.(value & opt float read_rate & info [ "read-rate" ] ~doc:"Reads per second.")
+  in
+  let write_rate =
+    Arg.(value & opt float 0.05 & info [ "write-rate" ] ~doc:"Writes per second (0 = none).")
+  in
+  Term.(
+    const (fun duration read_rate write_rate -> { duration; read_rate; write_rate })
+    $ duration $ read_rate $ write_rate)
+
+(* Trace, metrics and monitoring output; [metrics] adds --metrics-out. *)
+let output_term ~metrics =
+  let trace_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace-out" ] ~docv:"FILE"
+          ~doc:"Dump the event trace to $(docv) after the run ('-' = stdout).")
+  in
+  let trace_format =
+    Arg.(
+      value
+      & opt string "jsonl"
+      & info [ "trace-format" ] ~docv:"FMT"
+          ~doc:
+            "Trace dump format: $(b,jsonl) (one event per line, replayable with the \
+             $(b,trace) subcommand) or $(b,chrome) (trace_event JSON, loadable in \
+             Perfetto / chrome://tracing).")
+  in
+  let metrics_out =
+    if metrics then
+      Arg.(
+        value
+        & opt (some string) None
+        & info [ "metrics-out" ] ~docv:"FILE"
+            ~doc:
+              "Write counters, gauges and per-phase latency quantiles in Prometheus text \
+               format to $(docv) ('-' = stdout).")
+    else Term.const None
+  in
   let slo =
     Arg.(
       value
@@ -156,67 +490,68 @@ let monitoring_args =
       & opt (some int) None
       & info [ "span-capacity" ] ~docv:"N" ~doc:"Span ring capacity (default 4096).")
   in
-  (slo, slo_out, lineage_out, trace_capacity, span_capacity)
+  Term.(
+    const
+      (fun trace_out trace_format metrics_out slo slo_out lineage_out trace_capacity
+           span_capacity ->
+        {
+          trace_out;
+          trace_format;
+          metrics_out;
+          slo;
+          slo_out;
+          lineage_out;
+          trace_capacity;
+          span_capacity;
+        })
+    $ trace_out $ trace_format $ metrics_out $ slo $ slo_out $ lineage_out $ trace_capacity
+    $ span_capacity)
 
-let run_simulation ~masters ~slaves_per_master ~clients ~items ~duration ~read_rate
-    ~write_rate ~double_check_p ~max_latency ~keepalive ~audit ~pledge_batch
-    ~pledge_batch_window ~audit_dedup ~read_nonces ~audit_adaptive ~malicious ~lie_prob
-    ~lie_mode ~lie_from ~seed ~csv ~trace_out ~trace_format ~metrics_out ~slo ~slo_out
-    ~lineage_out ~trace_capacity ~span_capacity =
-  (* Reject a bad format before spending time on the simulation. *)
-  if trace_format <> "jsonl" && trace_format <> "chrome" then begin
-    Printf.eprintf "unknown trace format %S (expected jsonl or chrome)\n" trace_format;
-    exit 2
-  end;
-  let config =
-    Config.validate_exn
-      {
-        Config.default with
-        Config.max_latency;
-        keepalive_period = keepalive;
-        double_check_probability = double_check_p;
-        audit_enabled = audit;
-        pledge_batch_size = pledge_batch;
-        pledge_batch_window;
-        audit_dedup;
-        read_nonces;
-        audit_adaptive;
-      }
-  in
-  let system =
-    System.create ~n_masters:masters ~slaves_per_master ~n_clients:clients ~config
-      ~seed:(Int64.of_int seed) ?trace_capacity ?span_capacity ()
-  in
-  let monitoring =
-    if slo || slo_out <> None || lineage_out <> None then
-      Some (attach_monitoring system ~config)
-    else None
-  in
-  let g = Prng.create ~seed:(Int64.of_int (seed + 1)) in
-  let content = Catalog.product_catalog g ~n:items in
-  System.load_content system content;
-  (match (malicious, lie_mode_of_string lie_mode) with
-  | Some slave, Ok mode ->
-    if slave < 0 || slave >= System.n_slaves system then begin
-      Printf.eprintf "slave %d out of range (0..%d)\n" slave (System.n_slaves system - 1);
-      exit 2
-    end;
-    System.set_slave_behavior system ~slave
-      (Fault.Malicious { probability = lie_prob; mode; from_time = lie_from })
-  | Some _, Error msg ->
-    Printf.eprintf "%s\n" msg;
-    exit 2
-  | None, _ -> ());
-  let keys = Array.of_list (List.map fst content) in
-  let mix = Mix.create ~rng:(Prng.split g) ~keys () in
-  let driver = Driver.create system ~mix ~rng:(Prng.split g) () in
-  Driver.run_reads driver ~rate:read_rate ~duration;
-  if write_rate > 0.0 then Driver.run_writes driver ~rate:write_rate ~duration ~writer:0;
-  System.run_for system (duration +. (4.0 *. max_latency) +. 60.0);
+(* The one flags -> Config builder: a command passes the protocol flags
+   it exposes, every other knob keeps its Config.default value. *)
+let config_term ?max_latency ?keepalive ?double_check_p ?audit ?pledge_batch
+    ?pledge_batch_window ?audit_dedup ?read_nonces ?audit_adaptive () =
+  let d = Config.default in
+  let flag term default = Option.value term ~default:(Term.const default) in
+  Term.(
+    const
+      (fun max_latency keepalive_period double_check_probability audit_enabled
+           pledge_batch_size pledge_batch_window audit_dedup read_nonces audit_adaptive ->
+        Config.validate_exn
+          {
+            d with
+            Config.max_latency;
+            keepalive_period;
+            double_check_probability;
+            audit_enabled;
+            pledge_batch_size;
+            pledge_batch_window;
+            audit_dedup;
+            read_nonces;
+            audit_adaptive;
+          })
+    $ flag max_latency d.Config.max_latency
+    $ flag keepalive d.Config.keepalive_period
+    $ flag double_check_p d.Config.double_check_probability
+    $ flag audit d.Config.audit_enabled
+    $ flag pledge_batch d.Config.pledge_batch_size
+    $ flag pledge_batch_window d.Config.pledge_batch_window
+    $ flag audit_dedup d.Config.audit_dedup
+    $ flag read_nonces d.Config.read_nonces
+    $ flag audit_adaptive d.Config.audit_adaptive)
+
+let max_latency_arg =
+  Arg.(value & opt float 5.0 & info [ "max-latency" ] ~doc:"Freshness bound (Section 3).")
+
+let keepalive_arg =
+  Arg.(value & opt float 1.0 & info [ "keepalive" ] ~doc:"Keep-alive period (Section 3.1).")
+
+(* -- run ----------------------------------------------------------------- *)
+
+let print_run_summary topo config ~attack ~csv system driver =
   let s = Driver.summary driver in
   let stats = System.stats system in
   let auditor = System.auditor system in
-  let excluded = Corrective.excluded (System.corrective system) in
   if csv then begin
     Printf.printf
       "reads_completed,reads_accepted,reads_gave_up,served_by_master,accepted_wrong,double_checks,mean_latency_ms,p99_latency_ms,audited,audit_backlog,caught,excluded\n";
@@ -226,24 +561,26 @@ let run_simulation ~masters ~slaves_per_master ~clients ~items ~duration ~read_r
       (1000.0 *. s.Driver.mean_latency)
       (1000.0 *. s.Driver.p99_latency)
       (Auditor.audited auditor) (Auditor.backlog auditor) (Auditor.caught auditor)
-      (String.concat ";" (List.map string_of_int excluded))
+      (excluded_ids ~sep:";" system)
   end
   else begin
     Printf.printf "secure replication over untrusted hosts — simulation summary\n";
-    Printf.printf "  topology: %d masters, %d slaves, %d clients, %d documents\n" masters
-      (System.n_slaves system) clients items;
+    Printf.printf "  topology: %d masters, %d slaves, %d clients, %d documents\n" topo.masters
+      (System.n_slaves system) topo.clients topo.items;
     Printf.printf "  protocol: max_latency=%.2gs keepalive=%.2gs p=%.3g audit=%b\n"
-      max_latency keepalive double_check_p audit;
-    if pledge_batch > 1 || audit_dedup then
-      Printf.printf "  batching: pledge_batch=%d window=%.2gs dedup=%b\n" pledge_batch
-        pledge_batch_window audit_dedup;
-    if read_nonces || audit_adaptive then
-      Printf.printf "  hardening: read_nonces=%b audit_adaptive=%b\n" read_nonces
-        audit_adaptive;
-    (match malicious with
-    | Some slave ->
-      Printf.printf "  attack: slave %d, mode %s, prob %.2g, from t=%.2gs\n" slave lie_mode
-        lie_prob lie_from
+      config.Config.max_latency config.Config.keepalive_period
+      config.Config.double_check_probability config.Config.audit_enabled;
+    if config.Config.pledge_batch_size > 1 || config.Config.audit_dedup then
+      Printf.printf "  batching: pledge_batch=%d window=%.2gs dedup=%b\n"
+        config.Config.pledge_batch_size config.Config.pledge_batch_window
+        config.Config.audit_dedup;
+    if config.Config.read_nonces || config.Config.audit_adaptive then
+      Printf.printf "  hardening: read_nonces=%b audit_adaptive=%b\n" config.Config.read_nonces
+        config.Config.audit_adaptive;
+    (match attack with
+    | Some a ->
+      Printf.printf "  attack: slave %d, mode %s, prob %.2g, from t=%.2gs\n" a.slave a.mode
+        a.probability a.from_time
     | None -> Printf.printf "  attack: none\n");
     Printf.printf "\n  reads completed  %d (accepted %d, by-master %d, gave up %d)\n"
       s.Driver.reads_completed s.Driver.reads_accepted s.Driver.served_by_master
@@ -258,14 +595,14 @@ let run_simulation ~masters ~slaves_per_master ~clients ~items ~duration ~read_r
     Printf.printf "  wrong accepts    %d\n" s.Driver.accepted_wrong;
     Printf.printf "  audit            %d audited, backlog %d, caught %d\n"
       (Auditor.audited auditor) (Auditor.backlog auditor) (Auditor.caught auditor);
-    if audit_dedup then
+    if config.Config.audit_dedup then
       Printf.printf "  audit dedup      %d distinct re-execution(s), %d memo hit(s)\n"
         (Auditor.distinct_reexecs auditor)
         (Auditor.dedup_hits auditor);
-    if read_nonces then
+    if config.Config.read_nonces then
       Printf.printf "  replay defense   %d nonce rejection(s)\n"
         (Stats.get stats "client.nonce_rejections");
-    if audit_adaptive then
+    if config.Config.audit_adaptive then
       Printf.printf "  quarantines      %d\n" (Stats.get stats "auditor.quarantines");
     Printf.printf "  exclusions       [%s]\n"
       (String.concat "; "
@@ -277,284 +614,136 @@ let run_simulation ~masters ~slaves_per_master ~clients ~items ~duration ~read_r
                 | Corrective.Immediate -> "immediate"
                 | Corrective.Delayed -> "delayed"))
             (Corrective.events (System.corrective system))))
-  end;
-  (* Finalize the monitor before dumping the trace so end-of-run alerts
-     (e.g. a never-accused liar) appear in the dump too. *)
-  (match monitoring with
-  | None -> ()
-  | Some m ->
-    ignore (finish_monitoring m system ~slo_out ~lineage_out ~print_report:(not csv)));
-  (match trace_out with
-  | None -> ()
-  | Some path ->
-    let rendered =
-      match trace_format with
-      | "jsonl" -> Export.jsonl_of_trace (System.trace system)
-      | _ ->
-        Export.chrome_of ~spans:(System.spans system) ~trace:(System.trace system) ()
-    in
-    write_out path rendered);
-  match metrics_out with
-  | None -> ()
-  | Some path -> write_out path (Export.prometheus_of_stats stats)
+  end
 
-(* -- sharded run --------------------------------------------------------
-
-   [--shards K] (K > 1) swaps the single system for a
-   [Secrep_shard.Deployment]: K content items over one host pool, a
-   cross-shard Zipf workload with a diurnal skew rotation, per-shard
-   SLO monitors and a shard-tagged JSONL trace. *)
-
-module Deployment = Secrep_shard.Deployment
-module Cross = Secrep_workload.Cross
-
-let run_sharded_simulation ~shards ~domains ~masters ~replication_factor ~clients ~items
-    ~duration ~read_rate ~write_rate ~double_check_p ~max_latency ~keepalive ~audit
-    ~malicious ~lie_prob ~lie_mode ~lie_from ~seed ~csv ~trace_out ~trace_format ~slo
-    ~slo_out =
-  if trace_format <> "jsonl" then begin
-    Printf.eprintf "only --trace-format jsonl is supported with --shards > 1\n";
-    exit 2
-  end;
-  let config =
-    Config.validate_exn
-      {
-        Config.default with
-        Config.max_latency;
-        keepalive_period = keepalive;
-        double_check_probability = double_check_p;
-        audit_enabled = audit;
-      }
-  in
-  let d =
-    Deployment.create ~n_shards:shards ~n_masters:masters ~replication_factor
-      ~n_clients:clients ~config ~seed:(Int64.of_int seed) ~items_per_shard:items ~domains
-      ()
-  in
-  let monitors =
-    if slo || slo_out <> None then
-      Some (Array.init shards (fun i -> attach_monitoring (Deployment.system d i) ~config))
-    else None
-  in
-  let tagged_rev = ref [] in
-  if trace_out <> None then
-    Deployment.on_event d (fun ~shard r ->
-        tagged_rev := Deployment.tagged_line ~shard r :: !tagged_rev);
-  (* the attack targets shard [slave mod K], same routing as the fuzz
-     harness, with [slave] as the local replica index *)
-  (match (malicious, lie_mode_of_string lie_mode) with
-  | Some slave, Ok mode ->
-    if slave < 0 || slave >= Deployment.replication d then begin
-      Printf.eprintf "slave %d out of range (0..%d)\n" slave (Deployment.replication d - 1);
-      exit 2
-    end;
-    System.set_slave_behavior
-      (Deployment.system d (slave mod shards))
-      ~slave
-      (Fault.Malicious { probability = lie_prob; mode; from_time = lie_from })
-  | Some _, Error msg ->
-    Printf.eprintf "%s\n" msg;
-    exit 2
-  | None, _ -> ());
-  (* cross-shard workload: Zipf over contents (rotating hot shard) x
-     Zipf over keys within each shard's own catalogue *)
-  let issued = Array.make shards 0 in
-  let accepted = Array.make shards 0 in
-  let by_master = Array.make shards 0 in
-  let gave_up = Array.make shards 0 in
-  let on_done shard (r : Secrep_core.Client.read_report) =
-    match r.Secrep_core.Client.outcome with
-    | `Accepted _ -> accepted.(shard) <- accepted.(shard) + 1
-    | `Served_by_master _ -> by_master.(shard) <- by_master.(shard) + 1
-    | `Gave_up -> gave_up.(shard) <- gave_up.(shard) + 1
-  in
-  let g = Prng.create ~seed:(Int64.of_int (seed + 1)) in
-  let mixes =
-    Array.init shards (fun i -> Mix.create ~rng:(Prng.split g) ~keys:(Deployment.keys d i) ())
-  in
-  let pick_client = Prng.split g in
-  let cross =
-    Cross.create ~rng:(Prng.split g) ~n_shards:shards
-      ~rotate_period:(Float.max 1.0 (duration /. 4.0))
-      ()
-  in
-  (* Client ids are presampled in arrival order: [arrivals] is
-     time-sorted, so this matches what callback-time draws produced
-     sequentially, and keeps shard callbacks free of shared RNG state
-     (required for the parallel scheduler's determinism contract). *)
-  List.iter
-    (fun (at, shard) ->
-      let client = Prng.int pick_client clients in
-      Deployment.schedule d ~shard ~time:at (fun () ->
-          issued.(shard) <- issued.(shard) + 1;
-          Deployment.read d ~shard ~client
-            (Mix.next_query mixes.(shard))
-            ~on_done:(on_done shard)))
-    (Cross.arrivals cross ~rate:read_rate ~duration);
-  if write_rate > 0.0 then begin
-    let wcross = Cross.create ~rng:(Prng.split g) ~n_shards:shards () in
-    List.iter
-      (fun (at, shard) ->
-        Deployment.schedule d ~shard ~time:at (fun () ->
-            Deployment.write d ~shard ~client:0
-              (Mix.next_write mixes.(shard))
-              ~on_done:(fun _ -> ())))
-      (Cross.arrivals wcross ~rate:write_rate ~duration)
-  end;
-  Deployment.run_until d (duration +. (4.0 *. max_latency) +. 60.0);
+let print_sharded_run_summary topo config ~attack ~csv d t =
+  let k = topo.shards in
   if csv then begin
     Printf.printf
       "shard,reads_issued,reads_accepted,served_by_master,reads_gave_up,audited,caught,excluded\n";
-    for i = 0 to shards - 1 do
+    for i = 0 to k - 1 do
       let sys = Deployment.system d i in
       let auditor = System.auditor sys in
-      Printf.printf "%d,%d,%d,%d,%d,%d,%d,%s\n" i issued.(i) accepted.(i) by_master.(i)
-        gave_up.(i) (Auditor.audited auditor) (Auditor.caught auditor)
-        (String.concat ";"
-           (List.map string_of_int (Corrective.excluded (System.corrective sys))))
+      Printf.printf "%d,%d,%d,%d,%d,%d,%d,%s\n" i t.issued.(i) t.accepted.(i)
+        t.by_master.(i) t.gave_up.(i) (Auditor.audited auditor) (Auditor.caught auditor)
+        (excluded_ids ~sep:";" sys)
     done
   end
   else begin
     Printf.printf "sharded deployment summary\n";
     Printf.printf
-      "  content plane: %d shard(s), replication %d, pool of %d host(s), %d docs/shard\n"
-      shards (Deployment.replication d) (Deployment.pool_size d) items;
+      "  content plane: %d shard(s), replication %d, pool of %d host(s), %d docs/shard\n" k
+      (Deployment.replication d) (Deployment.pool_size d) topo.items;
     Printf.printf "  protocol: max_latency=%.2gs keepalive=%.2gs p=%.3g audit=%b\n"
-      max_latency keepalive double_check_p audit;
-    (match malicious with
-    | Some slave ->
+      config.Config.max_latency config.Config.keepalive_period
+      config.Config.double_check_probability config.Config.audit_enabled;
+    (match attack with
+    | Some a ->
       Printf.printf "  attack: slave %d of shard %d, mode %s, prob %.2g, from t=%.2gs\n"
-        slave (slave mod shards) lie_mode lie_prob lie_from
+        a.slave (a.slave mod k) a.mode a.probability a.from_time
     | None -> Printf.printf "  attack: none\n");
-    for i = 0 to shards - 1 do
+    for i = 0 to k - 1 do
       let sys = Deployment.system d i in
       let auditor = System.auditor sys in
       Printf.printf
         "  shard %d: reads %d (accepted %d, by-master %d, gave up %d); audited %d, caught \
          %d; excluded [%s]; hosts [%s]\n"
-        i issued.(i) accepted.(i) by_master.(i) gave_up.(i) (Auditor.audited auditor)
-        (Auditor.caught auditor)
-        (String.concat "; "
-           (List.map string_of_int (Corrective.excluded (System.corrective sys))))
+        i t.issued.(i) t.accepted.(i) t.by_master.(i) t.gave_up.(i)
+        (Auditor.audited auditor) (Auditor.caught auditor) (excluded_ids ~sep:"; " sys)
         (String.concat "; "
            (List.map string_of_int (Array.to_list (Deployment.hosts_of_shard d i))))
     done;
     Printf.printf "  totals: %d reads issued, %d accepted, audit backlog %d\n"
-      (Array.fold_left ( + ) 0 issued)
-      (Array.fold_left ( + ) 0 accepted)
+      (Array.fold_left ( + ) 0 t.issued)
+      (Array.fold_left ( + ) 0 t.accepted)
       (Deployment.audit_backlog d)
-  end;
-  (match monitors with
-  | None -> ()
-  | Some ms ->
-    let lines = ref [] in
-    Array.iteri
-      (fun i m ->
-        let sys = Deployment.system d i in
-        Slo.finalize m.m_slo ~now:(Secrep_sim.Sim.now (System.sim sys));
-        let health =
-          Health.build ~trace:(System.trace sys) ~spans:(System.spans sys) ~slo:m.m_slo
-            ~lineage:m.m_lineage ()
-        in
-        if not csv then Format.printf "@.-- shard %d --@.%a" i Health.pp health;
-        lines :=
-          Export.Json.to_string
-            (Export.Json.Obj
-               [ ("shard", Export.Json.Int i); ("health", Health.to_json health) ])
-          :: !lines)
-      ms;
-    match slo_out with
-    | None -> ()
-    | Some path -> write_out path (String.concat "\n" (List.rev !lines) ^ "\n"));
-  match trace_out with
-  | None -> ()
-  | Some path -> write_out path (String.concat "\n" (List.rev !tagged_rev) ^ "\n")
+  end
 
-open Cmdliner
+let run_simulation topo work out config ~attack ~csv =
+  check_output ~shards:topo.shards ~sharded_slo:true out;
+  let sim = start topo ~config ~out ?attack ~attach:ignore () in
+  let horizon = settle_horizon ~config work in
+  (match sim.plane with
+  | Single system ->
+    let driver = drive_single sim work in
+    System.run_for system horizon;
+    print_run_summary topo config ~attack ~csv system driver
+  | Sharded d ->
+    let tally =
+      drive_cross sim d ~clients:topo.clients
+        ~rotate_period:(Float.max 1.0 (work.duration /. 4.0))
+        work
+    in
+    Deployment.run_until d horizon;
+    print_sharded_run_summary topo config ~attack ~csv d tally);
+  finish sim out ~print_report:(not csv)
 
 let run_cmd =
-  let masters = Arg.(value & opt int 2 & info [ "masters" ] ~doc:"Number of master servers.") in
-  let slaves =
-    Arg.(value & opt int 3 & info [ "slaves-per-master" ] ~doc:"Slaves per master.")
+  let topology =
+    topology_term ~clients:8 ~items:300 ~seed_doc:"Deterministic seed."
+      ~shards_doc:
+        "Content items in the deployment.  1 runs the classic single-content system; >1 \
+         runs a sharded deployment over a shared host pool with per-shard auditors and a \
+         cross-shard Zipf workload.  --metrics-out, --lineage-out, --trace-capacity, \
+         --span-capacity and --trace-format chrome need a single system."
+      ()
   in
-  let shards =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "shards" ]
-          ~doc:
-            "Content items in the deployment.  1 runs the classic single-content system; \
-             >1 runs a sharded deployment over a shared host pool with per-shard \
-             auditors and a cross-shard Zipf workload.")
+  let workload =
+    workload_term ~duration:300.0 ~duration_doc:"Workload duration (sim seconds)."
+      ~read_rate:20.0
   in
-  let domains =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "domains" ]
-          ~doc:
-            "Worker domains for a sharded deployment (--shards > 1).  0 or 1 runs the \
-             shards sequentially in lockstep; >1 advances them on a parallel domain \
-             pool.  Both modes produce bit-identical event streams; ignored for \
-             single-system runs.")
-  in
-  let replication_factor =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "replication-factor" ]
-          ~doc:
-            "Replicas per content item (default: masters x slaves-per-master).  Only \
-             meaningful with --shards > 1.")
-  in
-  let clients = Arg.(value & opt int 8 & info [ "clients" ] ~doc:"Number of clients.") in
-  let items = Arg.(value & opt int 300 & info [ "items" ] ~doc:"Documents in the content.") in
-  let duration =
-    Arg.(value & opt float 300.0 & info [ "duration" ] ~doc:"Workload duration (sim seconds).")
-  in
-  let read_rate = Arg.(value & opt float 20.0 & info [ "read-rate" ] ~doc:"Reads per second.") in
-  let write_rate =
-    Arg.(value & opt float 0.05 & info [ "write-rate" ] ~doc:"Writes per second (0 = none).")
-  in
-  let p =
-    Arg.(
-      value
-      & opt float 0.05
-      & info [ "double-check-p" ] ~doc:"Probability a read is double-checked (Section 3.3).")
-  in
-  let max_latency =
-    Arg.(value & opt float 5.0 & info [ "max-latency" ] ~doc:"Freshness bound (Section 3).")
-  in
-  let keepalive =
-    Arg.(value & opt float 1.0 & info [ "keepalive" ] ~doc:"Keep-alive period (Section 3.1).")
-  in
-  let audit =
-    Arg.(value & opt bool true & info [ "audit" ] ~doc:"Enable the background auditor.")
-  in
-  let pledge_batch =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "pledge-batch-size" ]
-          ~doc:
-            "Pledges a slave signs per Merkle batch (1 = classic per-pledge signatures).")
-  in
-  let pledge_batch_window =
-    Arg.(
-      value
-      & opt float 0.05
-      & info [ "pledge-batch-window" ]
-          ~doc:"Max seconds a slave holds a partial pledge batch before flushing it.")
-  in
-  let audit_dedup =
-    Arg.(
-      value
-      & flag
-      & info [ "audit-dedup" ]
-          ~doc:
-            "Deduplicate auditor re-execution: each distinct (version, query) is \
-             re-executed once and all matching pledges settle against the memoized \
-             digest.")
+  let config =
+    config_term ~max_latency:max_latency_arg ~keepalive:keepalive_arg
+      ~double_check_p:
+        Arg.(
+          value
+          & opt float 0.05
+          & info [ "double-check-p" ]
+              ~doc:"Probability a read is double-checked (Section 3.3).")
+      ~audit:
+        Arg.(value & opt bool true & info [ "audit" ] ~doc:"Enable the background auditor.")
+      ~pledge_batch:
+        Arg.(
+          value
+          & opt int 1
+          & info [ "pledge-batch-size" ]
+              ~doc:
+                "Pledges a slave signs per Merkle batch (1 = classic per-pledge \
+                 signatures).")
+      ~pledge_batch_window:
+        Arg.(
+          value
+          & opt float 0.05
+          & info [ "pledge-batch-window" ]
+              ~doc:"Max seconds a slave holds a partial pledge batch before flushing it.")
+      ~audit_dedup:
+        Arg.(
+          value
+          & flag
+          & info [ "audit-dedup" ]
+              ~doc:
+                "Deduplicate auditor re-execution: each distinct (version, query) is \
+                 re-executed once and all matching pledges settle against the memoized \
+                 digest.")
+      ~read_nonces:
+        Arg.(
+          value
+          & flag
+          & info [ "read-nonces" ]
+              ~doc:
+                "Bind each pledge to its read's request id so replayed pledges are \
+                 rejected (replay defense).  Off by default for wire compatibility.")
+      ~audit_adaptive:
+        Arg.(
+          value
+          & flag
+          & info [ "audit-adaptive" ]
+              ~doc:
+                "Suspicion-weighted audit sampling: slaves that accumulate suspicion \
+                 (late pledges, nonce rejections, double-check mismatches) are audited \
+                 more and can be quarantined on probation.  Exclusion still requires \
+                 cryptographic proof.")
+      ()
   in
   let malicious =
     Arg.(
@@ -587,99 +776,24 @@ let run_cmd =
   let lie_from =
     Arg.(value & opt float 0.0 & info [ "lie-from" ] ~doc:"Attack start time (sim seconds).")
   in
-  let read_nonces =
-    Arg.(
-      value
-      & flag
-      & info [ "read-nonces" ]
-          ~doc:
-            "Bind each pledge to its read's request id so replayed pledges are rejected \
-             (replay defense).  Off by default for wire compatibility.")
-  in
-  let audit_adaptive =
-    Arg.(
-      value
-      & flag
-      & info [ "audit-adaptive" ]
-          ~doc:
-            "Suspicion-weighted audit sampling: slaves that accumulate suspicion (late \
-             pledges, nonce rejections, double-check mismatches) are audited more and \
-             can be quarantined on probation.  Exclusion still requires cryptographic \
-             proof.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Deterministic seed.") in
-  let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Machine-readable one-line output.") in
-  let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:"Dump the event trace to $(docv) after the run ('-' = stdout).")
-  in
-  let trace_format =
-    Arg.(
-      value
-      & opt string "jsonl"
-      & info [ "trace-format" ] ~docv:"FMT"
-          ~doc:
-            "Trace dump format: $(b,jsonl) (one event per line, replayable with the \
-             $(b,trace) subcommand) or $(b,chrome) (trace_event JSON, loadable in \
-             Perfetto / chrome://tracing).")
-  in
-  let metrics_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:
-            "Write counters, gauges and per-phase latency quantiles in Prometheus text \
-             format to $(docv) ('-' = stdout).")
-  in
-  let slo_flag, slo_out, lineage_out, trace_capacity, span_capacity = monitoring_args in
-  let term =
+  let attack =
     Term.(
-      const
-        (fun masters slaves_per_master shards domains replication_factor clients items
-             duration
-             read_rate write_rate double_check_p max_latency keepalive audit pledge_batch
-             pledge_batch_window audit_dedup malicious lie_prob lie_mode adversary lie_from
-             read_nonces audit_adaptive seed csv trace_out trace_format metrics_out slo
-             slo_out lineage_out trace_capacity span_capacity ->
-          let lie_mode = match adversary with Some m -> m | None -> lie_mode in
+      const (fun malicious lie_prob lie_mode adversary lie_from ->
+          let mode = match adversary with Some m -> m | None -> lie_mode in
           let malicious =
             match (adversary, malicious) with Some _, None -> Some 0 | _, m -> m
           in
-          if shards > 1 then begin
-            if read_nonces || audit_adaptive then
-              Printf.eprintf
-                "note: --read-nonces/--audit-adaptive apply to single-system runs only; \
-                 ignored with --shards > 1\n";
-            run_sharded_simulation ~shards ~domains ~masters
-              ~replication_factor:
-                (match replication_factor with
-                | Some r -> r
-                | None -> masters * slaves_per_master)
-              ~clients ~items ~duration ~read_rate ~write_rate ~double_check_p ~max_latency
-              ~keepalive ~audit ~malicious ~lie_prob ~lie_mode ~lie_from ~seed ~csv
-              ~trace_out ~trace_format ~slo ~slo_out
-          end
-          else
-            let slaves_per_master =
-              match replication_factor with
-              | Some r -> max 1 (r / max 1 masters)
-              | None -> slaves_per_master
-            in
-            run_simulation ~masters ~slaves_per_master ~clients ~items ~duration ~read_rate
-              ~write_rate ~double_check_p ~max_latency ~keepalive ~audit ~pledge_batch
-              ~pledge_batch_window ~audit_dedup ~read_nonces ~audit_adaptive ~malicious
-              ~lie_prob ~lie_mode ~lie_from ~seed ~csv ~trace_out ~trace_format
-              ~metrics_out ~slo ~slo_out ~lineage_out ~trace_capacity ~span_capacity)
-      $ masters $ slaves $ shards $ domains $ replication_factor $ clients $ items
-      $ duration
-      $ read_rate $ write_rate $ p $ max_latency $ keepalive $ audit $ pledge_batch
-      $ pledge_batch_window $ audit_dedup $ malicious $ lie_prob $ lie_mode $ adversary
-      $ lie_from $ read_nonces $ audit_adaptive $ seed $ csv $ trace_out $ trace_format
-      $ metrics_out $ slo_flag $ slo_out $ lineage_out $ trace_capacity $ span_capacity)
+          Option.map
+            (fun slave -> { slave; mode; probability = lie_prob; from_time = lie_from })
+            malicious)
+      $ malicious $ lie_prob $ lie_mode $ adversary $ lie_from)
+  in
+  let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Machine-readable one-line output.") in
+  let term =
+    Term.(
+      const (fun topo work config attack csv out ->
+          run_simulation topo work out config ~attack ~csv)
+      $ topology $ workload $ config $ attack $ csv $ output_term ~metrics:true)
   in
   Cmd.v
     (Cmd.info "run"
@@ -694,9 +808,7 @@ module Invariant = Secrep_check.Invariant
 let run_fuzz ~seed ~runs ~max_shrink_steps ~invariants ~shards ~replication_factor
     ~counterexample_out =
   match Invariant.named invariants with
-  | Error msg ->
-    Printf.eprintf "%s\n" msg;
-    exit 2
+  | Error msg -> fail "%s" msg
   | Ok checkers ->
     let outcome =
       Fuzz.run ~runs ~max_shrink_steps ~invariants:checkers ?shards
@@ -784,104 +896,45 @@ module Injector = Secrep_chaos.Injector
 module Scenario = Secrep_check.Scenario
 module Harness = Secrep_check.Harness
 
+let chaos_default_invariants =
+  [
+    "availability";
+    "recovery-convergence";
+    "no-false-accusation";
+    "staleness";
+    "write-spacing";
+    "alert-coverage";
+  ]
+
 let read_schedule_file path =
-  let ic =
-    try open_in path
-    with Sys_error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
-  in
+  let ic = try open_in path with Sys_error msg -> fail "%s" msg in
   let n = in_channel_length ic in
   let text = really_input_string ic n in
   close_in ic;
   match Schedule.parse text with
   | Ok schedule -> schedule
-  | Error msg ->
-    Printf.eprintf "%s: %s\n" path msg;
-    exit 2
+  | Error msg -> fail "%s: %s" path msg
 
-let run_chaos ~masters ~slaves_per_master ~clients ~items ~duration ~read_rate ~write_rate
-    ~max_latency ~keepalive ~schedule_file ~intensity ~seed ~invariants ~trace_out
-    ~trace_format ~counterexample_out ~slo:slo_flag ~slo_out ~lineage_out ~trace_capacity
-    ~span_capacity =
-  if trace_format <> "jsonl" && trace_format <> "chrome" then begin
-    Printf.eprintf "unknown trace format %S (expected jsonl or chrome)\n" trace_format;
-    exit 2
-  end;
-  let checkers =
-    match
-      Invariant.named
-        (if invariants = [] then
-           [ "availability"; "recovery-convergence"; "no-false-accusation"; "staleness";
-             "write-spacing"; "alert-coverage" ]
-         else invariants)
-    with
-    | Ok checkers -> checkers
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
-  in
-  let config =
-    Config.validate_exn
-      {
-        Config.default with
-        Config.max_latency;
-        keepalive_period = keepalive;
-        double_check_probability = 0.05;
-      }
-  in
-  let system =
-    System.create ~n_masters:masters ~slaves_per_master ~n_clients:clients ~config
-      ~seed:(Int64.of_int seed) ?trace_capacity ?span_capacity ()
-  in
-  let monitoring =
-    if slo_flag || slo_out <> None || lineage_out <> None then
-      Some (attach_monitoring system ~config)
-    else None
-  in
-  (* Capture the live stream like the fuzz harness does: the trace ring
-     may overwrite old records on long runs, subscribers see everything. *)
-  let events_rev = ref [] in
-  Trace.on_emit (System.trace system) (fun r -> events_rev := r :: !events_rev);
-  let pledges_rev = ref [] in
-  System.on_pledge_submitted system (fun p -> pledges_rev := p :: !pledges_rev);
-  let g = Prng.create ~seed:(Int64.of_int (seed + 1)) in
-  let content = Catalog.product_catalog g ~n:items in
-  System.load_content system content;
+(* K = 1 chaos: a scripted or seeded-random slave/master/network
+   schedule through the injector.  Returns the counterexample text. *)
+let chaos_single sim system topo work config ~schedule_file ~intensity ~settle =
   let schedule =
     match schedule_file with
     | Some path -> read_schedule_file path
     | None ->
       Schedule.random
-        ~rng:(Prng.create ~seed:(Int64.of_int (seed + 2)))
-        ~duration ~n_slaves:(System.n_slaves system) ~n_masters:masters ~n_clients:clients
-        ~intensity ()
+        ~rng:(Prng.create ~seed:(Int64.of_int (topo.seed + 2)))
+        ~duration:work.duration ~n_slaves:(System.n_slaves system) ~n_masters:topo.masters
+        ~n_clients:topo.clients ~intensity ()
   in
-  (try Injector.apply system schedule
-   with Invalid_argument msg ->
-     Printf.eprintf "%s\n" msg;
-     exit 2);
-  let keys = Array.of_list (List.map fst content) in
-  let mix = Mix.create ~rng:(Prng.split g) ~keys () in
-  let driver = Driver.create system ~mix ~rng:(Prng.split g) () in
-  Driver.run_reads driver ~rate:read_rate ~duration;
-  if write_rate > 0.0 then Driver.run_writes driver ~rate:write_rate ~duration ~writer:0;
-  (* Settle: every in-flight read must be able to exhaust its retry
-     ladder and degraded fallback, and the last recovery needs
-     max_latency to converge, before the invariants judge the trace. *)
-  let read_slack =
-    float_of_int (config.Config.read_retry_limit + 2)
-    *. ((config.Config.read_timeout_factor *. max_latency) +. config.Config.retry_backoff_cap)
-  in
-  let last_entry =
-    List.fold_left (fun acc e -> Float.max acc e.Schedule.time) 0.0 schedule
-  in
-  System.run_for system
-    (Float.max duration last_entry +. read_slack +. (6.0 *. max_latency) +. 60.0);
+  (try Injector.apply system schedule with Invalid_argument msg -> fail "%s" msg);
+  let driver = drive_single sim work in
+  let last_entry = List.fold_left (fun acc e -> Float.max acc e.Schedule.time) 0.0 schedule in
+  System.run_for system (settle last_entry);
   let stats = System.stats system in
   let s = Driver.summary driver in
-  Printf.printf "chaos run: seed %d, %d scheduled action(s) over %.1fs\n" seed
-    (List.length schedule) duration;
+  Printf.printf "chaos run: seed %d, %d scheduled action(s) over %.1fs\n" topo.seed
+    (List.length schedule) work.duration;
   List.iter
     (fun e -> Printf.printf "    at %g %s\n" e.Schedule.time (Schedule.describe e.Schedule.action))
     (Schedule.sort schedule);
@@ -901,132 +954,28 @@ let run_chaos ~masters ~slaves_per_master ~clients ~items ~duration ~read_rate ~
     (Stats.get stats "system.slave_crashes")
     (Stats.get stats "system.slave_recoveries")
     (Stats.get stats "auditor.overload_drops");
-  Printf.printf "  exclusions: [%s]\n"
-    (String.concat "; " (List.map string_of_int (Corrective.excluded (System.corrective system))));
-  (* Finalize before the trace dump so end-of-run alerts are included;
-     finalize-time alerts also land in [events_rev] for the checkers. *)
-  (match monitoring with
-  | None -> ()
-  | Some m -> ignore (finish_monitoring m system ~slo_out ~lineage_out ~print_report:true));
-  (match trace_out with
-  | None -> ()
-  | Some path ->
-    let rendered =
-      match trace_format with
-      | "jsonl" -> Export.jsonl_of_trace (System.trace system)
-      | _ -> Export.chrome_of ~spans:(System.spans system) ~trace:(System.trace system) ()
-    in
-    write_out path rendered);
-  (* The checkers judge a harness-shaped result; the run had no injected
-     slave faults and no scenario ops, so [accepted] stays empty and the
-     honest-run invariants apply in full. *)
-  let result =
-    {
-      Harness.scenario =
-        {
-          Scenario.sys_seed = seed;
-          n_shards = 1;
-          n_masters = masters;
-          slaves_per_master;
-          n_clients = clients;
-          n_items = items;
-          max_latency;
-          keepalive_period = keepalive;
-          double_check_p = 0.05;
-          audit = true;
-          pledge_batch = 1;
-          read_nonces = false;
-          audit_adaptive = false;
-          net = Scenario.Wan;
-          faults = [];
-          chaos = [];
-          ops = [];
-        };
-      events = List.rev !events_rev;
-      accepted = [];
-      end_time = Secrep_sim.Sim.now (System.sim system);
-      pledges = List.rev !pledges_rev;
-      reexec = (fun ~version query -> System.reexec_digest system ~version query);
-      slave_public =
-        (fun slave_id ->
-          if slave_id >= 0 && slave_id < System.n_slaves system then
-            Some (Secrep_core.Slave.public (System.slave system slave_id))
-          else None);
-    }
-  in
-  match Invariant.check_all checkers result with
-  | Ok () ->
-    Printf.printf "invariants: %s — all held\n"
-      (String.concat ", " (List.map (fun c -> c.Invariant.name) checkers))
-  | Error msg ->
-    Printf.printf "invariant VIOLATED: %s\n" msg;
-    (match counterexample_out with
-    | None -> ()
-    | Some path ->
-      write_out path
-        (Printf.sprintf
-           "chaos counterexample\nseed: %d\nduration: %g\ntopology: %d masters x %d \
-            slaves, %d clients, %d items\nmax_latency: %g keepalive: %g\nviolation: \
-            %s\n\nschedule:\n%s"
-           seed duration masters slaves_per_master clients items max_latency keepalive msg
-           (Schedule.to_string schedule)));
-    exit 1
+  Printf.printf "  exclusions: [%s]\n" (excluded_ids ~sep:"; " system);
+  fun violation ->
+    Printf.sprintf
+      "chaos counterexample\nseed: %d\nduration: %g\ntopology: %d masters x %d slaves, %d \
+       clients, %d items\nmax_latency: %g keepalive: %g\nviolation: %s\n\nschedule:\n%s"
+      topo.seed work.duration topo.masters topo.slaves_per_master topo.clients topo.items
+      config.Config.max_latency config.Config.keepalive_period violation
+      (Schedule.to_string schedule)
 
-(* Sharded chaos: host-level windows over the shared pool.  A crashed
-   or cut host takes down every co-located replica at once — the
+(* K > 1 chaos: seeded-random host windows over the shared pool.  A
+   crashed (state wiped, re-homed after the provisioning delay) or cut
+   (links only) host takes down every co-located replica at once — the
    cross-shard blast radius a per-slave schedule cannot express. *)
-let run_chaos_sharded ~shards ~domains ~masters ~replication_factor ~clients ~items
-    ~duration ~read_rate ~write_rate ~max_latency ~keepalive ~intensity ~seed ~invariants
-    ~trace_out ~counterexample_out =
-  let checkers =
-    match
-      Invariant.named
-        (if invariants = [] then
-           [ "availability"; "recovery-convergence"; "no-false-accusation"; "staleness";
-             "write-spacing"; "alert-coverage" ]
-         else invariants)
-    with
-    | Ok checkers -> checkers
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
-  in
-  let config =
-    Config.validate_exn
-      {
-        Config.default with
-        Config.max_latency;
-        keepalive_period = keepalive;
-        double_check_probability = 0.05;
-      }
-  in
-  let d =
-    Deployment.create ~n_shards:shards ~n_masters:masters ~replication_factor
-      ~n_clients:clients ~config ~seed:(Int64.of_int seed) ~items_per_shard:items ~domains
-      ()
-  in
+let chaos_sharded sim d topo work ~intensity ~settle =
   let pool = Deployment.pool_size d in
-  (* per-shard live capture, exactly like the fuzz harness *)
-  let events_rev = Array.make shards [] in
-  let pledges_rev = Array.make shards [] in
-  for i = 0 to shards - 1 do
-    let sys = Deployment.system d i in
-    Trace.on_emit (System.trace sys) (fun r -> events_rev.(i) <- r :: events_rev.(i));
-    System.on_pledge_submitted sys (fun p -> pledges_rev.(i) <- p :: pledges_rev.(i))
-  done;
-  let tagged_rev = ref [] in
-  if trace_out <> None then
-    Deployment.on_event d (fun ~shard r ->
-        tagged_rev := Deployment.tagged_line ~shard r :: !tagged_rev);
-  (* seeded-random host windows: crash (state wiped, re-homed after the
-     provisioning delay) or cut (links only), self-healing *)
-  let crng = Prng.create ~seed:(Int64.of_int (seed + 2)) in
-  let n_windows = max 1 (int_of_float (intensity *. duration /. 30.0)) in
+  let crng = Prng.create ~seed:(Int64.of_int (topo.seed + 2)) in
+  let n_windows = max 1 (int_of_float (intensity *. work.duration /. 30.0)) in
   let windows =
     List.init n_windows (fun _ ->
         let host = Prng.int crng pool in
         let kind = if Prng.bool crng then `Crash else `Cut in
-        let at = 5.0 +. (Prng.float crng *. Float.max 1.0 (duration -. 25.0)) in
+        let at = 5.0 +. (Prng.float crng *. Float.max 1.0 (work.duration -. 25.0)) in
         let outage = 2.0 +. (Prng.float crng *. 13.0) in
         (host, kind, at, outage))
   in
@@ -1040,178 +989,120 @@ let run_chaos_sharded ~shards ~domains ~masters ~replication_factor ~clients ~it
         Deployment.cut_host d ~at host;
         Deployment.heal_host d ~at:(at +. outage) host)
     windows;
-  (* cross-shard workload *)
-  let g = Prng.create ~seed:(Int64.of_int (seed + 1)) in
-  let mixes =
-    Array.init shards (fun i -> Mix.create ~rng:(Prng.split g) ~keys:(Deployment.keys d i) ())
-  in
-  let pick_client = Prng.split g in
-  let cross = Cross.create ~rng:(Prng.split g) ~n_shards:shards () in
-  let issued = Array.make shards 0 in
-  let gave_up = Array.make shards 0 in
-  (* presampled in time-sorted arrival order, as in the run command:
-     shard callbacks must not share RNG state across domains *)
-  List.iter
-    (fun (at, shard) ->
-      let client = Prng.int pick_client clients in
-      Deployment.schedule d ~shard ~time:at (fun () ->
-          issued.(shard) <- issued.(shard) + 1;
-          Deployment.read d ~shard ~client
-            (Mix.next_query mixes.(shard))
-            ~on_done:(fun r ->
-              match r.Secrep_core.Client.outcome with
-              | `Gave_up -> gave_up.(shard) <- gave_up.(shard) + 1
-              | _ -> ())))
-    (Cross.arrivals cross ~rate:read_rate ~duration);
-  if write_rate > 0.0 then begin
-    let wcross = Cross.create ~rng:(Prng.split g) ~n_shards:shards () in
-    List.iter
-      (fun (at, shard) ->
-        Deployment.schedule d ~shard ~time:at (fun () ->
-            Deployment.write d ~shard ~client:0
-              (Mix.next_write mixes.(shard))
-              ~on_done:(fun _ -> ())))
-      (Cross.arrivals wcross ~rate:write_rate ~duration)
-  end;
-  let read_slack =
-    float_of_int (config.Config.read_retry_limit + 2)
-    *. ((config.Config.read_timeout_factor *. max_latency) +. config.Config.retry_backoff_cap)
-  in
+  let t = drive_cross sim d ~clients:topo.clients work in
   let last_heal =
     List.fold_left (fun acc (_, _, at, outage) -> Float.max acc (at +. outage)) 0.0 windows
   in
-  Deployment.run_until d
-    (Float.max duration last_heal +. read_slack +. (6.0 *. max_latency) +. 60.0);
+  Deployment.run_until d (settle last_heal);
   Printf.printf "sharded chaos run: seed %d, %d shard(s) over %d host(s), %d window(s)\n"
-    seed shards pool (List.length windows);
+    topo.seed topo.shards pool (List.length windows);
   List.iter
     (fun (host, kind, at, outage) ->
       Printf.printf "    at %.1f %s host %d for %.1fs\n" at
         (match kind with `Crash -> "crash" | `Cut -> "cut")
         host outage)
     (List.sort (fun (_, _, a, _) (_, _, b, _) -> Float.compare a b) windows);
-  for i = 0 to shards - 1 do
-    let sys = Deployment.system d i in
-    Printf.printf "  shard %d: %d read(s) issued, %d gave up; excluded [%s]\n" i issued.(i)
-      gave_up.(i)
-      (String.concat "; "
-         (List.map string_of_int (Corrective.excluded (System.corrective sys))))
-  done;
-  (match trace_out with
-  | None -> ()
-  | Some path -> write_out path (String.concat "\n" (List.rev !tagged_rev) ^ "\n"));
-  (* judge every shard against its own stream; the run injected no
-     adversarial faults, so the honest-run invariants apply in full *)
-  let violations = ref [] in
-  for i = 0 to shards - 1 do
-    let sys = Deployment.system d i in
-    let result =
-      {
-        Harness.scenario =
-          {
-            Scenario.sys_seed = seed;
-            n_shards = 1;
-            n_masters = masters;
-            slaves_per_master = max 1 (replication_factor / max 1 masters);
-            n_clients = clients;
-            n_items = items;
-            max_latency;
-            keepalive_period = keepalive;
-            double_check_p = 0.05;
-            audit = true;
-            pledge_batch = 1;
-      read_nonces = false;
-      audit_adaptive = false;
-            net = Scenario.Wan;
-            faults = [];
-            chaos = [];
-            ops = [];
-          };
-        events = List.rev events_rev.(i);
-        accepted = [];
-        end_time = Secrep_sim.Sim.now (System.sim sys);
-        pledges = List.rev pledges_rev.(i);
-        reexec = (fun ~version query -> System.reexec_digest sys ~version query);
-        slave_public =
-          (fun slave_id ->
-            if slave_id >= 0 && slave_id < System.n_slaves sys then
-              Some (Secrep_core.Slave.public (System.slave sys slave_id))
-            else None);
-      }
-    in
-    match Invariant.check_all checkers result with
-    | Ok () -> ()
-    | Error msg -> violations := Printf.sprintf "[shard %d] %s" i msg :: !violations
-  done;
-  match List.rev !violations with
+  Array.iteri
+    (fun i sys ->
+      Printf.printf "  shard %d: %d read(s) issued, %d gave up; excluded [%s]\n" i
+        t.issued.(i) t.gave_up.(i) (excluded_ids ~sep:"; " sys))
+    sim.systems;
+  fun violations ->
+    Printf.sprintf
+      "sharded chaos counterexample\nseed: %d\nshards: %d\nreplication: %d\nduration: \
+       %g\nviolations:\n%s\n"
+      topo.seed topo.shards topo.replication work.duration violations
+
+let run_chaos topo work out config ~schedule_file ~intensity ~invariants ~counterexample_out =
+  check_output ~shards:topo.shards ~sharded_slo:false out;
+  if topo.shards > 1 && schedule_file <> None then
+    fail
+      "--schedule targets single-system slave/master ids; use seeded-random host-level \
+       chaos with --shards > 1";
+  let checkers =
+    match
+      Invariant.named (if invariants = [] then chaos_default_invariants else invariants)
+    with
+    | Ok checkers -> checkers
+    | Error msg -> fail "%s" msg
+  in
+  (* Capture the live stream like the fuzz harness does: the trace ring
+     may overwrite old records on long runs, subscribers see everything. *)
+  let sim = start topo ~config ~out ~attach:(Array.map Harness.capture) () in
+  (* Settle: every in-flight read must be able to exhaust its retry
+     ladder and degraded fallback, and the last recovery needs
+     max_latency to converge, before the invariants judge the trace. *)
+  let settle last_chaos =
+    Float.max work.duration last_chaos
+    +. Harness.read_slack config
+    +. (6.0 *. config.Config.max_latency)
+    +. 60.0
+  in
+  let counterexample =
+    match sim.plane with
+    | Single system ->
+      chaos_single sim system topo work config ~schedule_file ~intensity ~settle
+    | Sharded d -> chaos_sharded sim d topo work ~intensity ~settle
+  in
+  (* Finalize before judging: finalize-time alerts land in the captured
+     streams for the checkers. *)
+  finish sim out ~print_report:true;
+  (* Judge every shard against its own stream: the run injected no
+     adversarial faults and no scenario ops, so [accepted] stays empty
+     and the honest-run invariants apply in full. *)
+  let scenario =
+    {
+      Scenario.sys_seed = topo.seed;
+      n_shards = 1;
+      n_masters = topo.masters;
+      slaves_per_master = topo.slaves_per_master;
+      n_clients = topo.clients;
+      n_items = topo.items;
+      max_latency = config.Config.max_latency;
+      keepalive_period = config.Config.keepalive_period;
+      double_check_p = config.Config.double_check_probability;
+      audit = config.Config.audit_enabled;
+      pledge_batch = config.Config.pledge_batch_size;
+      read_nonces = config.Config.read_nonces;
+      audit_adaptive = config.Config.audit_adaptive;
+      net = Scenario.Wan;
+      faults = [];
+      chaos = [];
+      ops = [];
+    }
+  in
+  let violations =
+    Invariant.check_shards checkers
+      (List.map (fun c -> Harness.result c ~scenario ~accepted:[]) (Array.to_list sim.attached))
+  in
+  match violations with
   | [] ->
-    Printf.printf "invariants: %s — all held on every shard\n"
+    Printf.printf "invariants: %s — all held%s\n"
       (String.concat ", " (List.map (fun c -> c.Invariant.name) checkers))
+      (if topo.shards > 1 then " on every shard" else "")
   | violations ->
     List.iter (fun msg -> Printf.printf "invariant VIOLATED: %s\n" msg) violations;
-    (match counterexample_out with
-    | None -> ()
-    | Some path ->
-      write_out path
-        (Printf.sprintf
-           "sharded chaos counterexample\nseed: %d\nshards: %d\nreplication: %d\n\
-            duration: %g\nviolations:\n%s\n"
-           seed shards replication_factor duration
-           (String.concat "\n" violations)));
+    Option.iter
+      (fun path -> write_out path (counterexample (String.concat "\n" violations)))
+      counterexample_out;
     exit 1
 
 let chaos_cmd =
-  let masters = Arg.(value & opt int 2 & info [ "masters" ] ~doc:"Number of master servers.") in
-  let slaves =
-    Arg.(value & opt int 3 & info [ "slaves-per-master" ] ~doc:"Slaves per master.")
+  let topology =
+    topology_term ~clients:4 ~items:50 ~seed_doc:"Deterministic seed."
+      ~shards_doc:
+        "Content items in the deployment.  >1 switches to host-level chaos over a shared \
+         pool: each window crashes or cuts a pool host, hitting every co-located \
+         replica, and invariants are checked per shard.  --slo, --slo-out, \
+         --lineage-out, --trace-capacity, --span-capacity, --trace-format chrome and \
+         --schedule need a single system."
+      ()
   in
-  let shards =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "shards" ]
-          ~doc:
-            "Content items in the deployment.  >1 switches to host-level chaos over a \
-             shared pool: each window crashes or cuts a pool host, hitting every \
-             co-located replica, and invariants are checked per shard.")
+  let workload =
+    workload_term ~duration:120.0 ~duration_doc:"Chaos + workload window (sim seconds)."
+      ~read_rate:5.0
   in
-  let domains =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "domains" ]
-          ~doc:
-            "Worker domains for a sharded chaos run (--shards > 1).  0 or 1 is the \
-             sequential lockstep scheduler; >1 uses the parallel domain pool.  Chaos \
-             injection and event streams are bit-identical either way.")
-  in
-  let replication_factor =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "replication-factor" ]
-          ~doc:
-            "Replicas per content item (default: masters x slaves-per-master).  Only \
-             meaningful with --shards > 1.")
-  in
-  let clients = Arg.(value & opt int 4 & info [ "clients" ] ~doc:"Number of clients.") in
-  let items = Arg.(value & opt int 50 & info [ "items" ] ~doc:"Documents in the content.") in
-  let duration =
-    Arg.(
-      value
-      & opt float 120.0
-      & info [ "duration" ] ~doc:"Chaos + workload window (sim seconds).")
-  in
-  let read_rate = Arg.(value & opt float 5.0 & info [ "read-rate" ] ~doc:"Reads per second.") in
-  let write_rate =
-    Arg.(value & opt float 0.05 & info [ "write-rate" ] ~doc:"Writes per second (0 = none).")
-  in
-  let max_latency =
-    Arg.(value & opt float 5.0 & info [ "max-latency" ] ~doc:"Freshness bound (Section 3).")
-  in
-  let keepalive =
-    Arg.(value & opt float 1.0 & info [ "keepalive" ] ~doc:"Keep-alive period (Section 3.1).")
-  in
+  let config = config_term ~max_latency:max_latency_arg ~keepalive:keepalive_arg () in
   let schedule_file =
     Arg.(
       value
@@ -1228,7 +1119,6 @@ let chaos_cmd =
       & info [ "intensity" ]
           ~doc:"Scale the density of a random schedule (ignored with --schedule).")
   in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Deterministic seed.") in
   let invariants =
     Arg.(
       value
@@ -1236,23 +1126,9 @@ let chaos_cmd =
       & info [ "invariant" ] ~docv:"NAME"
           ~doc:
             (Printf.sprintf
-               "Only check invariant $(docv).  Repeatable; default: availability, \
-                recovery-convergence, no-false-accusation, staleness, write-spacing.  \
-                Known: %s."
+               "Only check invariant $(docv).  Repeatable; default: %s.  Known: %s."
+               (String.concat ", " chaos_default_invariants)
                (String.concat ", " (List.map (fun c -> c.Invariant.name) Invariant.all))))
-  in
-  let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:"Dump the event trace to $(docv) after the run ('-' = stdout).")
-  in
-  let trace_format =
-    Arg.(
-      value
-      & opt string "jsonl"
-      & info [ "trace-format" ] ~docv:"FMT" ~doc:"Trace dump format: $(b,jsonl) or $(b,chrome).")
   in
   let counterexample_out =
     Arg.(
@@ -1263,40 +1139,14 @@ let chaos_cmd =
             "On violation, write seed, schedule and violation to $(docv) ('-' = stdout) so \
              the run can be replayed.")
   in
-  let slo_flag, slo_out, lineage_out, trace_capacity, span_capacity = monitoring_args in
   let term =
     Term.(
       const
-        (fun masters slaves_per_master shards domains replication_factor clients items
-             duration
-             read_rate write_rate max_latency keepalive schedule_file intensity seed
-             invariants trace_out trace_format counterexample_out slo slo_out lineage_out
-             trace_capacity span_capacity ->
-          if shards > 1 then begin
-            if schedule_file <> None then begin
-              Printf.eprintf
-                "--schedule targets single-system slave/master ids; use seeded-random \
-                 host-level chaos with --shards > 1\n";
-              Stdlib.exit 2
-            end;
-            run_chaos_sharded ~shards ~domains ~masters
-              ~replication_factor:
-                (match replication_factor with
-                | Some r -> r
-                | None -> masters * slaves_per_master)
-              ~clients ~items ~duration ~read_rate ~write_rate ~max_latency ~keepalive
-              ~intensity ~seed ~invariants ~trace_out ~counterexample_out
-          end
-          else
-            run_chaos ~masters ~slaves_per_master ~clients ~items ~duration ~read_rate
-              ~write_rate ~max_latency ~keepalive ~schedule_file ~intensity ~seed
-              ~invariants ~trace_out ~trace_format ~counterexample_out ~slo ~slo_out
-              ~lineage_out ~trace_capacity ~span_capacity)
-      $ masters $ slaves $ shards $ domains $ replication_factor $ clients $ items
-      $ duration
-      $ read_rate $ write_rate $ max_latency $ keepalive $ schedule_file $ intensity $ seed
-      $ invariants $ trace_out $ trace_format $ counterexample_out $ slo_flag $ slo_out
-      $ lineage_out $ trace_capacity $ span_capacity)
+        (fun topo work config schedule_file intensity invariants counterexample_out out ->
+          run_chaos topo work out config ~schedule_file ~intensity ~invariants
+            ~counterexample_out)
+      $ topology $ workload $ config $ schedule_file $ intensity $ invariants
+      $ counterexample_out $ output_term ~metrics:false)
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -1333,128 +1183,107 @@ type campaign_row = {
   c_verdict : (unit, string) result;
 }
 
-let campaign_one ~mode ~masters ~slaves_per_master ~clients ~items ~duration ~read_rate
-    ~write_rate ~lie_prob ~read_nonces ~audit_adaptive ~seed =
-  match lie_mode_of_string mode with
-  | Error msg ->
-    Printf.eprintf "%s\n" msg;
-    exit 2
-  | Ok fault_mode ->
-    let max_latency = 5.0 in
-    let config =
-      Config.validate_exn
-        {
-          Config.default with
-          Config.max_latency;
-          keepalive_period = 1.0;
-          double_check_probability = 0.05;
-          audit_enabled = true;
-          read_nonces;
-          audit_adaptive;
-        }
+let campaign_one ~mode topo work config ~lie_prob =
+  (* Capture the live stream: the trace ring may wrap on long runs,
+     subscribers see everything. *)
+  let lineage = Lineage.create () in
+  let sim =
+    start topo ~config ~out:no_output
+      ~attack:{ slave = 0; mode; probability = lie_prob; from_time = 0.0 }
+      ~attach:(fun systems ->
+        let events_rev = ref [] in
+        Trace.on_emit (System.trace systems.(0)) (fun r ->
+            Lineage.observe lineage r;
+            events_rev := r :: !events_rev);
+        events_rev)
+      ()
+  in
+  let system = sim.systems.(0) in
+  let driver = drive_single sim work in
+  System.run_for system (settle_horizon ~config work);
+  let events_rev = sim.attached in
+  let read_nonces = config.Config.read_nonces in
+  let audit_adaptive = config.Config.audit_adaptive in
+  let stats = System.stats system in
+  let s = Driver.summary driver in
+  let launched = ref 0 and suppressed = ref 0 and quarantines = ref 0 in
+  let accusations = ref [] in
+  List.iter
+    (fun r ->
+      match r.Trace.event with
+      | Event.Attack_launched { slave = 0; _ } -> incr launched
+      | Event.Attack_suppressed { slave = 0; _ } -> incr suppressed
+      | Event.Slave_quarantined { slave = 0; _ } -> incr quarantines
+      | Event.Audit_conviction { slave; _ } | Event.Slave_excluded { slave; _ } ->
+        accusations := (r.Trace.time, slave) :: !accusations
+      | Event.Double_check { slave; outcome = Event.Mismatch; _ } ->
+        accusations := (r.Trace.time, slave) :: !accusations
+      | _ -> ())
+    (List.rev !events_rev);
+  let accused_at =
+    List.fold_left
+      (fun acc (t, sl) ->
+        if sl <> 0 then acc
+        else Some (match acc with None -> t | Some a -> Float.min a t))
+      None !accusations
+  in
+  let false_acc =
+    List.sort_uniq compare
+      (List.filter_map (fun (_, sl) -> if sl <> 0 then Some sl else None) !accusations)
+  in
+  Lineage.finalize lineage;
+  let row0 =
+    List.find_opt
+      (fun (r : Lineage.slave_row) -> r.Lineage.slave = 0)
+      (Lineage.slave_rows lineage)
+  in
+  let get = Stats.get stats in
+  let verdict =
+    let family =
+      match String.index_opt mode ':' with
+      | Some i -> String.sub mode 0 i
+      | None -> mode
     in
-    let system =
-      System.create ~n_masters:masters ~slaves_per_master ~n_clients:clients ~config
-        ~seed:(Int64.of_int seed) ()
-    in
-    (* Capture the live stream: the trace ring may wrap on long runs,
-       subscribers see everything. *)
-    let lineage = Lineage.create () in
-    let events_rev = ref [] in
-    Trace.on_emit (System.trace system) (fun r ->
-        Lineage.observe lineage r;
-        events_rev := r :: !events_rev);
-    let g = Prng.create ~seed:(Int64.of_int (seed + 1)) in
-    let content = Catalog.product_catalog g ~n:items in
-    System.load_content system content;
-    System.set_slave_behavior system ~slave:0
-      (Fault.Malicious { probability = lie_prob; mode = fault_mode; from_time = 0.0 });
-    let keys = Array.of_list (List.map fst content) in
-    let mix = Mix.create ~rng:(Prng.split g) ~keys () in
-    let driver = Driver.create system ~mix ~rng:(Prng.split g) () in
-    Driver.run_reads driver ~rate:read_rate ~duration;
-    if write_rate > 0.0 then Driver.run_writes driver ~rate:write_rate ~duration ~writer:0;
-    System.run_for system (duration +. (4.0 *. max_latency) +. 60.0);
-    let stats = System.stats system in
-    let s = Driver.summary driver in
-    let launched = ref 0 and suppressed = ref 0 and quarantines = ref 0 in
-    let accusations = ref [] in
-    List.iter
-      (fun r ->
-        match r.Trace.event with
-        | Event.Attack_launched { slave = 0; _ } -> incr launched
-        | Event.Attack_suppressed { slave = 0; _ } -> incr suppressed
-        | Event.Slave_quarantined { slave = 0; _ } -> incr quarantines
-        | Event.Audit_conviction { slave; _ } | Event.Slave_excluded { slave; _ } ->
-          accusations := (r.Trace.time, slave) :: !accusations
-        | Event.Double_check { slave; outcome = Event.Mismatch; _ } ->
-          accusations := (r.Trace.time, slave) :: !accusations
-        | _ -> ())
-      (List.rev !events_rev);
-    let accused_at =
-      List.fold_left
-        (fun acc (t, sl) ->
-          if sl <> 0 then acc
-          else Some (match acc with None -> t | Some a -> Float.min a t))
-        None !accusations
-    in
-    let false_acc =
-      List.sort_uniq compare
-        (List.filter_map (fun (_, sl) -> if sl <> 0 then Some sl else None) !accusations)
-    in
-    Lineage.finalize lineage;
-    let row0 =
-      List.find_opt
-        (fun (r : Lineage.slave_row) -> r.Lineage.slave = 0)
-        (Lineage.slave_rows lineage)
-    in
-    let get = Stats.get stats in
-    let verdict =
-      let family =
-        match String.index_opt mode ':' with
-        | Some i -> String.sub mode 0 i
-        | None -> mode
-      in
-      match family with
-      | "corrupt" | "equivocate" | "collude" ->
-        if accused_at <> None then Ok ()
-        else Error "expected an accusation (conviction / exclusion / DC mismatch)"
-      | "stale" ->
-        if get "client.stale_rejections" > 0 || accused_at <> None then Ok ()
-        else Error "expected the freshness check to reject stale pledges"
-      | "bad-signature" ->
-        if get "client.pledge_rejected" > 0 then Ok ()
-        else Error "expected pledge signature rejections"
-      | "omit" | "flaky-omit" ->
-        if get "client.read_timeouts" > 0 then Ok ()
-        else Error "expected omission to surface as read timeouts"
-      | "replay" | "replay-pledge" ->
-        if not read_nonces then Ok () (* defense off: nothing to assert *)
-        else if get "client.nonce_rejections" = 0 then
-          Error "expected the nonce check to reject replayed pledges"
-        else if audit_adaptive && !quarantines = 0 then
-          Error "expected the adaptive auditor to quarantine the replaying slave"
-        else Ok ()
-      | "adaptive" ->
-        if !launched = 0 || accused_at <> None || !quarantines > 0 then Ok ()
-        else Error "expected the adaptive liar to be suppressed, quarantined or convicted"
-      | _ ->
-        if accused_at <> None then Ok ()
-        else Error "expected an accusation of the malicious slave"
-    in
-    {
-      c_mode = mode;
-      c_launched = !launched;
-      c_suppressed = !suppressed;
-      c_accused_at = accused_at;
-      c_reads_before = Option.bind row0 (fun r -> r.Lineage.reads_before_detection);
-      c_detect_latency = Option.bind row0 (fun r -> r.Lineage.detection_latency);
-      c_quarantines = !quarantines;
-      c_nonce_rejects = get "client.nonce_rejections";
-      c_wrong = s.Driver.accepted_wrong;
-      c_false = false_acc;
-      c_verdict = verdict;
-    }
+    match family with
+    | "corrupt" | "equivocate" | "collude" ->
+      if accused_at <> None then Ok ()
+      else Error "expected an accusation (conviction / exclusion / DC mismatch)"
+    | "stale" ->
+      if get "client.stale_rejections" > 0 || accused_at <> None then Ok ()
+      else Error "expected the freshness check to reject stale pledges"
+    | "bad-signature" ->
+      if get "client.pledge_rejected" > 0 then Ok ()
+      else Error "expected pledge signature rejections"
+    | "omit" | "flaky-omit" ->
+      if get "client.read_timeouts" > 0 then Ok ()
+      else Error "expected omission to surface as read timeouts"
+    | "replay" | "replay-pledge" ->
+      if not read_nonces then Ok () (* defense off: nothing to assert *)
+      else if get "client.nonce_rejections" = 0 then
+        Error "expected the nonce check to reject replayed pledges"
+      else if audit_adaptive && !quarantines = 0 then
+        Error "expected the adaptive auditor to quarantine the replaying slave"
+      else Ok ()
+    | "adaptive" ->
+      if !launched = 0 || accused_at <> None || !quarantines > 0 then Ok ()
+      else Error "expected the adaptive liar to be suppressed, quarantined or convicted"
+    | _ ->
+      if accused_at <> None then Ok ()
+      else Error "expected an accusation of the malicious slave"
+  in
+  {
+    c_mode = mode;
+    c_launched = !launched;
+    c_suppressed = !suppressed;
+    c_accused_at = accused_at;
+    c_reads_before = Option.bind row0 (fun r -> r.Lineage.reads_before_detection);
+    c_detect_latency = Option.bind row0 (fun r -> r.Lineage.detection_latency);
+    c_quarantines = !quarantines;
+    c_nonce_rejects = get "client.nonce_rejections";
+    c_wrong = s.Driver.accepted_wrong;
+    c_false = false_acc;
+    c_verdict = verdict;
+  }
 
 let json_of_campaign_row row =
   let open Export.Json in
@@ -1476,27 +1305,19 @@ let json_of_campaign_row row =
       ("why", match row.c_verdict with Ok () -> Null | Error m -> Str m);
     ]
 
-let run_campaign ~masters ~slaves_per_master ~clients ~items ~duration ~read_rate
-    ~write_rate ~lie_prob ~read_nonces ~audit_adaptive ~seed ~modes ~json_out =
+let run_campaign topo work config ~lie_prob ~modes ~json_out =
   let modes = if modes = [] then campaign_default_modes else modes in
   (* Reject an unknown mode before spending time on any simulation. *)
   List.iter
-    (fun m ->
-      match lie_mode_of_string m with
-      | Ok _ -> ()
-      | Error msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 2)
+    (fun m -> match lie_mode_of_string m with Ok _ -> () | Error msg -> fail "%s" msg)
     modes;
   Printf.printf "attack campaign: %d mode(s), seed %d, nonces=%b adaptive=%b\n"
-    (List.length modes) seed read_nonces audit_adaptive;
+    (List.length modes) topo.seed config.Config.read_nonces config.Config.audit_adaptive;
   let rows =
     List.mapi
       (fun i mode ->
         let row =
-          campaign_one ~mode ~masters ~slaves_per_master ~clients ~items ~duration
-            ~read_rate ~write_rate ~lie_prob ~read_nonces ~audit_adaptive
-            ~seed:(seed + (i * 7919))
+          campaign_one ~mode { topo with seed = topo.seed + (i * 7919) } work config ~lie_prob
         in
         Printf.printf "  %-16s launched %5d  suppressed %5d  accused-at %9s  \
                        reads-before %5s  quarantines %3d  %s\n"
@@ -1531,37 +1352,32 @@ let run_campaign ~masters ~slaves_per_master ~clients ~items ~duration ~read_rat
   end
 
 let campaign_cmd =
-  let open Cmdliner in
-  let masters = Arg.(value & opt int 2 & info [ "masters" ] ~doc:"Number of master servers.") in
-  let slaves =
-    Arg.(value & opt int 3 & info [ "slaves-per-master" ] ~doc:"Slaves per master.")
+  let topology =
+    topology_term ~clients:8 ~items:100
+      ~seed_doc:"Deterministic seed; mode i runs at seed + 7919i." ()
   in
-  let clients = Arg.(value & opt int 8 & info [ "clients" ] ~doc:"Number of clients.") in
-  let items = Arg.(value & opt int 100 & info [ "items" ] ~doc:"Documents in the content.") in
-  let duration =
-    Arg.(value & opt float 120.0 & info [ "duration" ] ~doc:"Workload duration per mode (sim seconds).")
+  let workload =
+    workload_term ~duration:120.0 ~duration_doc:"Workload duration per mode (sim seconds)."
+      ~read_rate:10.0
   in
-  let read_rate = Arg.(value & opt float 10.0 & info [ "read-rate" ] ~doc:"Reads per second.") in
-  let write_rate =
-    Arg.(value & opt float 0.05 & info [ "write-rate" ] ~doc:"Writes per second (0 = none).")
+  let config =
+    config_term
+      ~read_nonces:
+        Arg.(
+          value
+          & opt bool true
+          & info [ "read-nonces" ] ~doc:"Run with the pledge replay defense on (default true).")
+      ~audit_adaptive:
+        Arg.(
+          value
+          & opt bool true
+          & info [ "audit-adaptive" ]
+              ~doc:"Run with suspicion-weighted audit sampling on (default true).")
+      ()
   in
   let lie_prob =
     Arg.(value & opt float 1.0 & info [ "lie-prob" ] ~doc:"Probability the slave lies per read.")
   in
-  let read_nonces =
-    Arg.(
-      value
-      & opt bool true
-      & info [ "read-nonces" ] ~doc:"Run with the pledge replay defense on (default true).")
-  in
-  let audit_adaptive =
-    Arg.(
-      value
-      & opt bool true
-      & info [ "audit-adaptive" ]
-          ~doc:"Run with suspicion-weighted audit sampling on (default true).")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Deterministic seed; mode i runs at seed + 7919i.") in
   let modes =
     Arg.(
       value
@@ -1582,13 +1398,9 @@ let campaign_cmd =
   in
   let term =
     Term.(
-      const
-        (fun masters slaves_per_master clients items duration read_rate write_rate lie_prob
-             read_nonces audit_adaptive seed modes json_out ->
-          run_campaign ~masters ~slaves_per_master ~clients ~items ~duration ~read_rate
-            ~write_rate ~lie_prob ~read_nonces ~audit_adaptive ~seed ~modes ~json_out)
-      $ masters $ slaves $ clients $ items $ duration $ read_rate $ write_rate $ lie_prob
-      $ read_nonces $ audit_adaptive $ seed $ modes $ json_out)
+      const (fun topo work config lie_prob modes json_out ->
+          run_campaign topo work config ~lie_prob ~modes ~json_out)
+      $ topology $ workload $ config $ lie_prob $ modes $ json_out)
   in
   Cmd.v
     (Cmd.info "campaign"
@@ -1600,43 +1412,43 @@ let campaign_cmd =
 
 (* -- trace replay ------------------------------------------------------- *)
 
-let replay_trace ~file ~sources ~kinds ~limit =
-  let ic =
-    if file = "-" then stdin
-    else
-      try open_in file
-      with Sys_error msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 2
-  in
-  let matches_filter values value = values = [] || List.mem value values in
-  let shown = ref 0 in
+(* Feed each record of a JSONL dump ('-' = stdin) to [f] while [more ()]
+   holds; malformed lines are reported on stderr and counted. *)
+let iter_records ?(more = fun () -> true) file f =
+  let ic = if file = "-" then stdin else try open_in file with Sys_error msg -> fail "%s" msg in
   let lineno = ref 0 in
   let errors = ref 0 in
   (try
-     while limit = 0 || !shown < limit do
+     while more () do
        let line = input_line ic in
        incr lineno;
-       if String.trim line <> "" then begin
+       if String.trim line <> "" then
          match Export.record_of_line line with
          | Error msg ->
            incr errors;
            Printf.eprintf "line %d: %s\n" !lineno msg
-         | Ok r ->
-           if
-             matches_filter sources r.Trace.source
-             && matches_filter kinds (Event.kind r.Trace.event)
-           then begin
-             incr shown;
-             Printf.printf "%12.6f  %-12s %s\n" r.Trace.time r.Trace.source
-               (Event.to_string r.Trace.event)
-           end
-       end
+         | Ok r -> f r
      done
    with End_of_file -> ());
   if file <> "-" then close_in ic;
-  if !errors > 0 then begin
-    Printf.eprintf "%d malformed line(s)\n" !errors;
+  !errors
+
+let replay_trace ~file ~sources ~kinds ~limit =
+  let matches_filter values value = values = [] || List.mem value values in
+  let shown = ref 0 in
+  let errors =
+    iter_records file
+      ~more:(fun () -> limit = 0 || !shown < limit)
+      (fun r ->
+        if matches_filter sources r.Trace.source && matches_filter kinds (Event.kind r.Trace.event)
+        then begin
+          incr shown;
+          Printf.printf "%12.6f  %-12s %s\n" r.Trace.time r.Trace.source
+            (Event.to_string r.Trace.event)
+        end)
+  in
+  if errors > 0 then begin
+    Printf.eprintf "%d malformed line(s)\n" errors;
     exit 1
   end
 
@@ -1684,43 +1496,20 @@ let trace_cmd =
 (* -- offline monitor ---------------------------------------------------- *)
 
 let run_monitor ~file ~max_latency ~audit ~window ~format ~lineage_out ~check =
-  if format <> "text" && format <> "json" then begin
-    Printf.eprintf "unknown format %S (expected text or json)\n" format;
-    exit 2
-  end;
-  let ic =
-    if file = "-" then stdin
-    else
-      try open_in file
-      with Sys_error msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 2
-  in
+  if format <> "text" && format <> "json" then
+    fail "unknown format %S (expected text or json)" format;
   let config =
     Config.validate_exn { Config.default with Config.max_latency; audit_enabled = audit }
   in
   let slo = Slo.create ~config:(Slo.config ?window config) () in
   let lineage = Lineage.create () in
   let end_time = ref 0.0 in
-  let lineno = ref 0 in
-  let errors = ref 0 in
-  (try
-     while true do
-       let line = input_line ic in
-       incr lineno;
-       if String.trim line <> "" then begin
-         match Export.record_of_line line with
-         | Error msg ->
-           incr errors;
-           Printf.eprintf "line %d: %s\n" !lineno msg
-         | Ok r ->
-           end_time := Float.max !end_time r.Trace.time;
-           Lineage.observe lineage r;
-           Slo.observe slo r
-       end
-     done
-   with End_of_file -> ());
-  if file <> "-" then close_in ic;
+  let errors =
+    iter_records file (fun r ->
+        end_time := Float.max !end_time r.Trace.time;
+        Lineage.observe lineage r;
+        Slo.observe slo r)
+  in
   Slo.finalize slo ~now:!end_time;
   let health = Health.build ~slo ~lineage () in
   (match format with
@@ -1729,10 +1518,7 @@ let run_monitor ~file ~max_latency ~audit ~window ~format ~lineage_out ~check =
   (match lineage_out with
   | None -> ()
   | Some path -> write_out path (Lineage.jsonl lineage));
-  if !errors > 0 then begin
-    Printf.eprintf "%d malformed line(s)\n" !errors;
-    exit 2
-  end;
+  if errors > 0 then fail "%d malformed line(s)" errors;
   if check && health.Health.alerts <> [] then exit 1
 
 let monitor_cmd =

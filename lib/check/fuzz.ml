@@ -18,22 +18,9 @@ let run ?(runs = 100) ?(max_shrink_steps = 200) ?(invariants = Invariant.all) ?s
      set.  [n_shards = 1] takes the classic single-system path, so the
      shrinker's pull toward one shard lands back on the old prop. *)
   let prop scenario =
-    let results = Harness.run_sharded scenario in
-    let many = List.length results > 1 in
-    List.fold_left
-      (fun (acc, i) result ->
-        let acc =
-          match acc with
-          | Error _ -> acc
-          | Ok () -> (
-            match Invariant.check_all invariants result with
-            | Ok () -> Ok ()
-            | Error msg ->
-              Error (if many then Printf.sprintf "[shard %d] %s" i msg else msg))
-        in
-        (acc, i + 1))
-      (Ok (), 0) results
-    |> fst
+    match Invariant.check_shards invariants (Harness.run_sharded scenario) with
+    | [] -> Ok ()
+    | first :: _ -> Error first
   in
   match
     Prop.check ~runs ~max_shrink_steps ~seed ~gen ~shrink prop

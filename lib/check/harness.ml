@@ -40,138 +40,91 @@ let net_profile = function
 
 (* Each scenario chaos window expands to a disrupt/heal entry pair. *)
 let schedule_of_chaos chaos =
-  let entry time action = { Schedule.time; action } in
+  let window from_time until disrupt heal =
+    [ { Schedule.time = from_time; action = disrupt }; { Schedule.time = until; action = heal } ]
+  in
   List.concat_map
     (function
       | Scenario.Slave_cut { slave; from_time; outage } ->
-        [
-          entry from_time (Schedule.Cut_slave slave);
-          entry (from_time +. outage) (Schedule.Heal_slave slave);
-        ]
+        window from_time (from_time +. outage) (Schedule.Cut_slave slave)
+          (Schedule.Heal_slave slave)
       | Scenario.Slave_churn { slave; from_time; outage } ->
-        [
-          entry from_time (Schedule.Crash_slave slave);
-          entry (from_time +. outage) (Schedule.Recover_slave slave);
-        ]
+        window from_time (from_time +. outage) (Schedule.Crash_slave slave)
+          (Schedule.Recover_slave slave)
       | Scenario.Master_cut { master; from_time; outage } ->
-        [
-          entry from_time (Schedule.Cut_master master);
-          entry (from_time +. outage) (Schedule.Heal_master master);
-        ]
+        window from_time (from_time +. outage) (Schedule.Cut_master master)
+          (Schedule.Heal_master master)
       | Scenario.Auditor_cut { from_time; outage } ->
-        [
-          entry from_time Schedule.Cut_auditor;
-          entry (from_time +. outage) Schedule.Heal_auditor;
-        ]
+        window from_time (from_time +. outage) Schedule.Cut_auditor Schedule.Heal_auditor
       | Scenario.Loss_burst { loss; from_time; duration } ->
-        [
-          entry from_time (Schedule.Loss_burst loss);
-          entry (from_time +. duration) Schedule.Loss_normal;
-        ]
+        window from_time (from_time +. duration) (Schedule.Loss_burst loss) Schedule.Loss_normal
       | Scenario.Latency_spike { factor; from_time; duration } ->
-        [
-          entry from_time (Schedule.Latency_spike factor);
-          entry (from_time +. duration) Schedule.Latency_normal;
-        ])
+        window from_time (from_time +. duration) (Schedule.Latency_spike factor)
+          Schedule.Latency_normal)
     chaos
 
-let run scenario =
-  let s = Scenario.normalize scenario in
-  let config =
-    Config.validate_exn
-      {
-        Config.default with
-        Config.max_latency = s.Scenario.max_latency;
-        keepalive_period = s.Scenario.keepalive_period;
-        double_check_probability = s.Scenario.double_check_p;
-        audit_enabled = s.Scenario.audit;
-        pledge_batch_size = s.Scenario.pledge_batch;
-        read_nonces = s.Scenario.read_nonces;
-        audit_adaptive = s.Scenario.audit_adaptive;
-      }
-  in
-  let system =
-    System.create ~n_masters:s.Scenario.n_masters
-      ~slaves_per_master:s.Scenario.slaves_per_master ~n_clients:s.Scenario.n_clients
-      ~config ~net:(net_profile s.Scenario.net)
-      ~seed:(Int64.of_int s.Scenario.sys_seed)
-      ()
-  in
-  let sim = System.sim system in
-  (* Capture the live stream: the ring in [System.trace] may overwrite
-     old records, subscribers see everything. *)
-  let events_rev = ref [] in
-  Trace.on_emit (System.trace system) (fun r -> events_rev := r :: !events_rev);
-  (* Record every pledge the auditor side receives, in delivery order:
-     the differential-audit invariant replays this exact stream through
-     both offline drivers. *)
-  let pledges_rev = ref [] in
-  System.on_pledge_submitted system (fun p -> pledges_rev := p :: !pledges_rev);
-  let content =
-    Catalog.product_catalog
-      (Prng.create ~seed:(Int64.of_int ((2 * s.Scenario.sys_seed) + 1)))
-      ~n:s.Scenario.n_items
-  in
-  System.load_content system content;
-  let keys = Array.of_list (List.map fst content) in
-  List.iter
-    (fun (f : Scenario.fault) ->
-      System.set_slave_behavior system ~slave:f.Scenario.slave
-        (Fault.Malicious
-           {
-             probability = f.Scenario.probability;
-             mode = f.Scenario.mode;
-             from_time = f.Scenario.from_time;
-           }))
-    s.Scenario.faults;
-  Injector.apply system (schedule_of_chaos s.Scenario.chaos);
-  let accepted_rev = ref [] in
-  List.iteri
-    (fun idx op ->
-      match op with
-      | Scenario.Read { client; key; at } ->
-        let query = Query.point_read keys.(key) in
-        ignore
-          (Sim.schedule_at sim ~time:at (fun () ->
-               System.read system ~client query ~on_done:(fun report ->
-                   match report.Secrep_core.Client.outcome with
-                   | `Accepted result ->
-                     let slave =
-                       match report.Secrep_core.Client.served_by with
-                       | Some slave -> slave
-                       | None -> -1
-                     in
-                     let version = report.Secrep_core.Client.version in
-                     let wrong =
-                       match
-                         System.check_result system ~version query
-                           ~digest:(Canonical.result_digest result)
-                       with
-                       | Some ok -> not ok
-                       | None -> false
-                     in
-                     accepted_rev :=
-                       { time = Sim.now sim; client; slave; version; wrong } :: !accepted_rev
-                   | `Served_by_master _ | `Gave_up -> ())))
-      | Scenario.Write { client; key; at } ->
-        let op =
-          Oplog.Set_field
-            { key = keys.(key); field = "stock"; value = Value.Int (1000 + idx) }
-        in
-        ignore
-          (Sim.schedule_at sim ~time:at (fun () ->
-               System.write system ~client op ~on_done:(fun _ack -> ()))))
-    s.Scenario.ops;
-  (* Run well past the last scheduled op: masters space commits by
-     max_latency, so the write backlog alone can take
-     (n_writes + 1) * max_latency to drain; then leave the auditor its
-     lag slack plus a settling margin for retries and exclusions.
-     Every read must also be able to exhaust its worst-case retry
-     ladder — (retry_limit + 2) timeouts plus backoff, then the
-     degraded master fallback — so the availability invariant can
-     demand an answer for each issued read.  Chaos windows extend the
-     horizon too: a recovery at the last heal still needs max_latency
-     to converge. *)
+let config_of_scenario s =
+  Config.validate_exn
+    {
+      Config.default with
+      Config.max_latency = s.Scenario.max_latency;
+      keepalive_period = s.Scenario.keepalive_period;
+      double_check_probability = s.Scenario.double_check_p;
+      audit_enabled = s.Scenario.audit;
+      pledge_batch_size = s.Scenario.pledge_batch;
+      read_nonces = s.Scenario.read_nonces;
+      audit_adaptive = s.Scenario.audit_adaptive;
+    }
+
+(* Capture the live stream: the ring in [System.trace] may overwrite
+   old records, subscribers see everything.  Pledges are recorded in
+   the order the auditor side receives them: the differential-audit
+   invariant replays this exact stream through both offline drivers. *)
+type capture = {
+  system : System.t;
+  mutable events_rev : Trace.record list;
+  mutable pledges_rev : Secrep_core.Pledge.t list;
+}
+
+let capture system =
+  let c = { system; events_rev = []; pledges_rev = [] } in
+  Trace.on_emit (System.trace system) (fun r -> c.events_rev <- r :: c.events_rev);
+  System.on_pledge_submitted system (fun p -> c.pledges_rev <- p :: c.pledges_rev);
+  c
+
+let result c ~scenario ~accepted =
+  let system = c.system in
+  {
+    scenario;
+    events = List.rev c.events_rev;
+    accepted;
+    end_time = Sim.now (System.sim system);
+    pledges = List.rev c.pledges_rev;
+    reexec = (fun ~version query -> System.reexec_digest system ~version query);
+    slave_public =
+      (fun slave_id ->
+        if slave_id >= 0 && slave_id < System.n_slaves system then
+          Some (Secrep_core.Slave.public (System.slave system slave_id))
+        else None);
+  }
+
+(* Worst case for one read to settle: (retry_limit + 2) timeouts plus
+   backoff, then the degraded master fallback. *)
+let read_slack config =
+  float_of_int (config.Config.read_retry_limit + 2)
+  *. ((config.Config.read_timeout_factor *. config.Config.max_latency)
+     +. config.Config.retry_backoff_cap)
+
+(* Run well past the last scheduled op: masters space commits by
+   max_latency, so the write backlog alone can take
+   (n_writes + 1) * max_latency to drain; then leave the auditor its
+   lag slack plus a settling margin for retries and exclusions.  Every
+   read must also be able to exhaust its retry ladder, so the
+   availability invariant can demand an answer for each issued read.
+   Chaos windows extend the horizon too: a recovery at the last heal
+   still needs max_latency to converge. *)
+let horizon config s =
+  let max_latency = s.Scenario.max_latency in
   let last_op =
     List.fold_left (fun acc op -> Float.max acc (Scenario.op_time op)) 0.0 s.Scenario.ops
   in
@@ -182,255 +135,189 @@ let run scenario =
     List.length
       (List.filter (function Scenario.Write _ -> true | Scenario.Read _ -> false) s.Scenario.ops)
   in
-  let read_slack =
-    float_of_int (config.Config.read_retry_limit + 2)
-    *. ((config.Config.read_timeout_factor *. s.Scenario.max_latency)
-       +. config.Config.retry_backoff_cap)
+  Float.max last_op (last_heal +. (2.0 *. max_latency))
+  +. (float_of_int (n_writes + 2) *. max_latency)
+  +. config.Config.audit_lag_slack
+  +. (10.0 *. max_latency)
+  +. read_slack config +. 30.0
+
+let op_key = function Scenario.Read { key; _ } | Scenario.Write { key; _ } -> key
+
+(* One execution over a shard array: [systems] is a bare system (K = 1)
+   or the K systems of a deployment.  Ops route to shard [key mod K]
+   (the key indexes that shard's own catalogue) and faults to shard
+   [slave mod K]; with K = 1 both are the identity.  Only construction,
+   [load] (content keys per shard), [arm_chaos] and [run_until] are
+   supplied per case, and the step order is the contract: subscribe,
+   load, faults, chaos, ops. *)
+let execute s ~config ~systems ~load ~arm_chaos ~run_until =
+  let k = Array.length systems in
+  let captures = Array.map capture systems in
+  let keys = load () in
+  List.iter
+    (fun (f : Scenario.fault) ->
+      System.set_slave_behavior
+        systems.(f.Scenario.slave mod k)
+        ~slave:f.Scenario.slave
+        (Fault.Malicious
+           {
+             probability = f.Scenario.probability;
+             mode = f.Scenario.mode;
+             from_time = f.Scenario.from_time;
+           }))
+    s.Scenario.faults;
+  arm_chaos ();
+  let accepted_rev = Array.make k [] in
+  List.iteri
+    (fun idx op ->
+      let shard = op_key op mod k in
+      let sys = systems.(shard) in
+      let sim = System.sim sys in
+      match op with
+      | Scenario.Read { client; key; at } ->
+        let query = Query.point_read keys.(shard).(key) in
+        ignore
+          (Sim.schedule_at sim ~time:at (fun () ->
+               System.read sys ~client query ~on_done:(fun report ->
+                   match report.Secrep_core.Client.outcome with
+                   | `Accepted result ->
+                     let slave =
+                       match report.Secrep_core.Client.served_by with
+                       | Some slave -> slave
+                       | None -> -1
+                     in
+                     let version = report.Secrep_core.Client.version in
+                     let wrong =
+                       match
+                         System.check_result sys ~version query
+                           ~digest:(Canonical.result_digest result)
+                       with
+                       | Some ok -> not ok
+                       | None -> false
+                     in
+                     accepted_rev.(shard) <-
+                       { time = Sim.now sim; client; slave; version; wrong }
+                       :: accepted_rev.(shard)
+                   | `Served_by_master _ | `Gave_up -> ())))
+      | Scenario.Write { client; key; at } ->
+        let op =
+          Oplog.Set_field
+            { key = keys.(shard).(key); field = "stock"; value = Value.Int (1000 + idx) }
+        in
+        ignore
+          (Sim.schedule_at sim ~time:at (fun () ->
+               System.write sys ~client op ~on_done:(fun _ack -> ()))))
+    s.Scenario.ops;
+  run_until (horizon config s);
+  (* Each shard is judged against the slice of the scenario it actually
+     saw: its own faults and ops.  Chaos stays global. *)
+  List.init k (fun i ->
+      let scenario =
+        {
+          s with
+          Scenario.faults =
+            List.filter (fun (f : Scenario.fault) -> f.Scenario.slave mod k = i) s.Scenario.faults;
+          ops = List.filter (fun op -> op_key op mod k = i) s.Scenario.ops;
+        }
+      in
+      result captures.(i) ~scenario ~accepted:(List.rev accepted_rev.(i)))
+
+let run scenario =
+  let s = Scenario.normalize scenario in
+  let config = config_of_scenario s in
+  let system =
+    System.create ~n_masters:s.Scenario.n_masters
+      ~slaves_per_master:s.Scenario.slaves_per_master ~n_clients:s.Scenario.n_clients
+      ~config ~net:(net_profile s.Scenario.net)
+      ~seed:(Int64.of_int s.Scenario.sys_seed)
+      ()
   in
-  let horizon =
-    Float.max last_op (last_heal +. (2.0 *. s.Scenario.max_latency))
-    +. (float_of_int (n_writes + 2) *. s.Scenario.max_latency)
-    +. config.Config.audit_lag_slack
-    +. (10.0 *. s.Scenario.max_latency)
-    +. read_slack +. 30.0
+  let load () =
+    let content =
+      Catalog.product_catalog
+        (Prng.create ~seed:(Int64.of_int ((2 * s.Scenario.sys_seed) + 1)))
+        ~n:s.Scenario.n_items
+    in
+    System.load_content system content;
+    [| Array.of_list (List.map fst content) |]
   in
-  System.run_until system horizon;
-  {
-    scenario = s;
-    events = List.rev !events_rev;
-    accepted = List.rev !accepted_rev;
-    end_time = Sim.now sim;
-    pledges = List.rev !pledges_rev;
-    reexec = (fun ~version query -> System.reexec_digest system ~version query);
-    slave_public =
-      (fun slave_id ->
-        if slave_id >= 0 && slave_id < System.n_slaves system then
-          Some (Secrep_core.Slave.public (System.slave system slave_id))
-        else None);
-  }
+  List.hd
+    (execute s ~config ~systems:[| system |] ~load
+       ~arm_chaos:(fun () -> Injector.apply system (schedule_of_chaos s.Scenario.chaos))
+       ~run_until:(System.run_until system))
 
 (* -- sharded execution -------------------------------------------------
 
-   With [n_shards > 1] the scenario runs on a [Secrep_shard.Deployment]
-   instead of a bare system: K unmodified single-content instances over
-   a shared host pool, advanced in lockstep.  Ops route by key
-   ([key mod K] picks the shard, the key indexes that shard's own
-   catalogue), faults target [slave mod K]'s shard, and chaos windows
-   become cross-shard: slave cuts and churn act on pool *hosts* (every
-   co-located replica is hit), auditor cuts and network degradation hit
-   every shard.  The result is one [run_result] per shard, each judged
-   by the full invariant set against that shard's own stream. *)
+   With [n_shards > 1] the scenario runs on a [Secrep_shard.Deployment]:
+   K unmodified single-content instances over a shared host pool,
+   advanced in lockstep.  Chaos windows become cross-shard: slave cuts
+   and churn act on pool *hosts* (every co-located replica is hit),
+   auditor cuts and network degradation hit every shard. *)
 
 module Deployment = Secrep_shard.Deployment
 
-let shard_of_key ~n_shards key = key mod n_shards
-let shard_of_fault ~n_shards (f : Scenario.fault) = f.Scenario.slave mod n_shards
+let arm_deployment_chaos d chaos =
+  let k = Deployment.n_shards d in
+  let pool = Deployment.pool_size d in
+  (* Schedule [f] on shard [i] at [from_time] and [g] when the window ends. *)
+  let window i ~from_time ~until f g =
+    let sys = Deployment.system d i in
+    Deployment.schedule d ~shard:i ~time:from_time (fun () -> f sys);
+    Deployment.schedule d ~shard:i ~time:until (fun () -> g sys)
+  in
+  let every_shard ~from_time ~until f g =
+    for i = 0 to k - 1 do
+      window i ~from_time ~until f g
+    done
+  in
+  List.iter
+    (function
+      | Scenario.Slave_cut { slave; from_time; outage } ->
+        let host = slave mod pool in
+        Deployment.cut_host d ~at:from_time host;
+        Deployment.heal_host d ~at:(from_time +. outage) host
+      | Scenario.Slave_churn { slave; from_time; outage } ->
+        let host = slave mod pool in
+        Deployment.crash_host d ~at:from_time host;
+        Deployment.recover_host d ~at:(from_time +. outage) host
+      | Scenario.Master_cut { master; from_time; outage } ->
+        window (master mod k) ~from_time ~until:(from_time +. outage)
+          (fun sys -> System.set_master_connectivity sys ~master_id:master ~up:false)
+          (fun sys -> System.set_master_connectivity sys ~master_id:master ~up:true)
+      | Scenario.Auditor_cut { from_time; outage } ->
+        every_shard ~from_time ~until:(from_time +. outage)
+          (fun sys -> System.set_auditor_connectivity sys ~up:false)
+          (fun sys -> System.set_auditor_connectivity sys ~up:true)
+      | Scenario.Loss_burst { loss; from_time; duration } ->
+        every_shard ~from_time ~until:(from_time +. duration)
+          (fun sys -> System.set_loss sys (Some loss))
+          (fun sys -> System.set_loss sys None)
+      | Scenario.Latency_spike { factor; from_time; duration } ->
+        every_shard ~from_time ~until:(from_time +. duration)
+          (fun sys -> System.set_latency_factor sys factor)
+          (fun sys -> System.set_latency_factor sys 1.0))
+    chaos
 
 let run_sharded ?domains scenario =
   let s = Scenario.normalize scenario in
   let k = s.Scenario.n_shards in
   if k <= 1 then [ run scenario ]
   else begin
-    let n_slaves = s.Scenario.n_masters * s.Scenario.slaves_per_master in
-    let config =
-      Config.validate_exn
-        {
-          Config.default with
-          Config.max_latency = s.Scenario.max_latency;
-          keepalive_period = s.Scenario.keepalive_period;
-          double_check_probability = s.Scenario.double_check_p;
-          audit_enabled = s.Scenario.audit;
-          pledge_batch_size = s.Scenario.pledge_batch;
-          read_nonces = s.Scenario.read_nonces;
-          audit_adaptive = s.Scenario.audit_adaptive;
-        }
-    in
-    let deployment =
+    let config = config_of_scenario s in
+    let d =
       Deployment.create ~n_shards:k ~n_masters:s.Scenario.n_masters
-        ~replication_factor:n_slaves ~n_clients:s.Scenario.n_clients ~config
-        ~net:(net_profile s.Scenario.net)
+        ~replication_factor:(s.Scenario.n_masters * s.Scenario.slaves_per_master)
+        ~n_clients:s.Scenario.n_clients ~config ~net:(net_profile s.Scenario.net)
         ~seed:(Int64.of_int s.Scenario.sys_seed)
         ~items_per_shard:s.Scenario.n_items ?domains ()
     in
-    let pool = Deployment.pool_size deployment in
-    (* Per-shard capture: subscribe each shard's own trace so streams
-       stay pure System streams (deployment placement events live in
-       the deployment trace, not here). *)
-    let events_rev = Array.make k [] in
-    let pledges_rev = Array.make k [] in
-    let accepted_rev = Array.make k [] in
-    for i = 0 to k - 1 do
-      let sys = Deployment.system deployment i in
-      Trace.on_emit (System.trace sys) (fun r -> events_rev.(i) <- r :: events_rev.(i));
-      System.on_pledge_submitted sys (fun p -> pledges_rev.(i) <- p :: pledges_rev.(i))
-    done;
-    (* Faults land on the shard their slave index selects. *)
-    List.iter
-      (fun (f : Scenario.fault) ->
-        let shard = shard_of_fault ~n_shards:k f in
-        System.set_slave_behavior
-          (Deployment.system deployment shard)
-          ~slave:f.Scenario.slave
-          (Fault.Malicious
-             {
-               probability = f.Scenario.probability;
-               mode = f.Scenario.mode;
-               from_time = f.Scenario.from_time;
-             }))
-      s.Scenario.faults;
-    (* Cross-shard chaos windows. *)
-    List.iter
-      (fun c ->
-        match c with
-        | Scenario.Slave_cut { slave; from_time; outage } ->
-          let host = slave mod pool in
-          Deployment.cut_host deployment ~at:from_time host;
-          Deployment.heal_host deployment ~at:(from_time +. outage) host
-        | Scenario.Slave_churn { slave; from_time; outage } ->
-          let host = slave mod pool in
-          Deployment.crash_host deployment ~at:from_time host;
-          Deployment.recover_host deployment ~at:(from_time +. outage) host
-        | Scenario.Master_cut { master; from_time; outage } ->
-          let shard = master mod k in
-          let sys = Deployment.system deployment shard in
-          Deployment.schedule deployment ~shard ~time:from_time (fun () ->
-              System.set_master_connectivity sys ~master_id:master ~up:false);
-          Deployment.schedule deployment ~shard ~time:(from_time +. outage) (fun () ->
-              System.set_master_connectivity sys ~master_id:master ~up:true)
-        | Scenario.Auditor_cut { from_time; outage } ->
-          for i = 0 to k - 1 do
-            let sys = Deployment.system deployment i in
-            Deployment.schedule deployment ~shard:i ~time:from_time (fun () ->
-                System.set_auditor_connectivity sys ~up:false);
-            Deployment.schedule deployment ~shard:i ~time:(from_time +. outage) (fun () ->
-                System.set_auditor_connectivity sys ~up:true)
-          done
-        | Scenario.Loss_burst { loss; from_time; duration } ->
-          for i = 0 to k - 1 do
-            let sys = Deployment.system deployment i in
-            Deployment.schedule deployment ~shard:i ~time:from_time (fun () ->
-                System.set_loss sys (Some loss));
-            Deployment.schedule deployment ~shard:i ~time:(from_time +. duration)
-              (fun () -> System.set_loss sys None)
-          done
-        | Scenario.Latency_spike { factor; from_time; duration } ->
-          for i = 0 to k - 1 do
-            let sys = Deployment.system deployment i in
-            Deployment.schedule deployment ~shard:i ~time:from_time (fun () ->
-                System.set_latency_factor sys factor);
-            Deployment.schedule deployment ~shard:i ~time:(from_time +. duration)
-              (fun () -> System.set_latency_factor sys 1.0)
-          done)
-      s.Scenario.chaos;
-    (* Ops route by key: disjoint per-shard workloads by construction. *)
-    List.iteri
-      (fun idx op ->
-        match op with
-        | Scenario.Read { client; key; at } ->
-          let shard = shard_of_key ~n_shards:k key in
-          let sys = Deployment.system deployment shard in
-          let query = Query.point_read (Deployment.keys deployment shard).(key) in
-          Deployment.schedule deployment ~shard ~time:at (fun () ->
-              Deployment.read deployment ~shard ~client query ~on_done:(fun report ->
-                  match report.Secrep_core.Client.outcome with
-                  | `Accepted result ->
-                    let slave =
-                      match report.Secrep_core.Client.served_by with
-                      | Some slave -> slave
-                      | None -> -1
-                    in
-                    let version = report.Secrep_core.Client.version in
-                    let wrong =
-                      match
-                        System.check_result sys ~version query
-                          ~digest:(Canonical.result_digest result)
-                      with
-                      | Some ok -> not ok
-                      | None -> false
-                    in
-                    accepted_rev.(shard) <-
-                      {
-                        time = Sim.now (System.sim sys);
-                        client;
-                        slave;
-                        version;
-                        wrong;
-                      }
-                      :: accepted_rev.(shard)
-                  | `Served_by_master _ | `Gave_up -> ()))
-        | Scenario.Write { client; key; at } ->
-          let shard = shard_of_key ~n_shards:k key in
-          let op =
-            Oplog.Set_field
-              {
-                key = (Deployment.keys deployment shard).(key);
-                field = "stock";
-                value = Value.Int (1000 + idx);
-              }
-          in
-          Deployment.schedule deployment ~shard ~time:at (fun () ->
-              Deployment.write deployment ~shard ~client op ~on_done:(fun _ack -> ())))
-      s.Scenario.ops;
-    (* Same horizon formula as the single-shard path, computed over the
-       global op/chaos schedule: every shard runs to the same end time. *)
-    let last_op =
-      List.fold_left (fun acc op -> Float.max acc (Scenario.op_time op)) 0.0 s.Scenario.ops
-    in
-    let last_heal =
-      List.fold_left (fun acc c -> Float.max acc (Scenario.chaos_end c)) 0.0 s.Scenario.chaos
-    in
-    let n_writes =
-      List.length
-        (List.filter
-           (function Scenario.Write _ -> true | Scenario.Read _ -> false)
-           s.Scenario.ops)
-    in
-    let read_slack =
-      float_of_int (config.Config.read_retry_limit + 2)
-      *. ((config.Config.read_timeout_factor *. s.Scenario.max_latency)
-         +. config.Config.retry_backoff_cap)
-    in
-    let horizon =
-      Float.max last_op (last_heal +. (2.0 *. s.Scenario.max_latency))
-      +. (float_of_int (n_writes + 2) *. s.Scenario.max_latency)
-      +. config.Config.audit_lag_slack
-      +. (10.0 *. s.Scenario.max_latency)
-      +. read_slack +. 30.0
-    in
-    Deployment.run_until deployment horizon;
-    List.init k (fun i ->
-        let sys = Deployment.system deployment i in
-        (* Each shard is judged against the slice of the scenario it
-           actually saw: its own faults and ops.  Chaos stays global —
-           every window fans out across the pool. *)
-        let scenario_i =
-          {
-            s with
-            Scenario.faults =
-              List.filter (fun f -> shard_of_fault ~n_shards:k f = i) s.Scenario.faults;
-            ops =
-              List.filter
-                (fun op ->
-                  shard_of_key ~n_shards:k
-                    (match op with
-                    | Scenario.Read { key; _ } | Scenario.Write { key; _ } -> key)
-                  = i)
-                s.Scenario.ops;
-          }
-        in
-        {
-          scenario = scenario_i;
-          events = List.rev events_rev.(i);
-          accepted = List.rev accepted_rev.(i);
-          end_time = Sim.now (System.sim sys);
-          pledges = List.rev pledges_rev.(i);
-          reexec = (fun ~version query -> System.reexec_digest sys ~version query);
-          slave_public =
-            (fun slave_id ->
-              if slave_id >= 0 && slave_id < System.n_slaves sys then
-                Some (Secrep_core.Slave.public (System.slave sys slave_id))
-              else None);
-        })
+    (* Deployment.create loaded each shard's catalogue already, before
+       the per-shard capture subscribed. *)
+    execute s ~config
+      ~systems:(Array.init k (Deployment.system d))
+      ~load:(fun () -> Array.init k (Deployment.keys d))
+      ~arm_chaos:(fun () -> arm_deployment_chaos d s.Scenario.chaos)
+      ~run_until:(Deployment.run_until d)
   end
 
 let events_digest result =

@@ -48,18 +48,32 @@ val run_sharded : ?domains:int -> Scenario.t -> run_result list
     per-shard streams — the [parallel-determinism] invariant holds the
     harness to that.
 
-    [n_shards = 1] is exactly [[run scenario]] — same code path, same
-    stream — so the sharded prop degenerates to the classic one.  With
-    [K > 1] the scenario runs on a {!Secrep_shard.Deployment}: ops
-    route to shard [key mod K], adversarial faults to shard
-    [slave mod K], and chaos windows become cross-shard (slave cuts
-    and churn act on pool hosts, hitting every co-located replica;
-    auditor cuts and network degradation hit all shards). *)
+    [n_shards = 1] is exactly [[run scenario]].  Both run one pipeline
+    over a shard array — a bare system for K = 1, a
+    {!Secrep_shard.Deployment} for K > 1 — in which ops route to shard
+    [key mod K] and adversarial faults to shard [slave mod K].  At
+    K > 1 chaos windows become cross-shard (slave cuts and churn act on
+    pool hosts, hitting every co-located replica; auditor cuts and
+    network degradation hit all shards). *)
 
-val schedule_of_chaos : Scenario.chaos list -> Secrep_chaos.Schedule.t
-(** The disrupt/heal entry pairs a scenario's chaos windows expand to.
-    Exposed for the CLI, which reuses it to print and export
-    schedules. *)
+(** {2 Live capture}
+
+    The pieces of a run the CLI's chaos command shares with the
+    harness. *)
+
+type capture
+
+val capture : Secrep_core.System.t -> capture
+(** Subscribe to the system's live event stream and to every pledge
+    delivered to its auditor.  Subscribe before the run starts: the
+    trace ring may wrap, subscribers see everything. *)
+
+val result : capture -> scenario:Scenario.t -> accepted:accepted_read list -> run_result
+(** The run result for everything captured so far. *)
+
+val read_slack : Secrep_core.Config.t -> float
+(** Simulated time for one read to exhaust its worst-case retry ladder
+    and the degraded master fallback; part of every settle horizon. *)
 
 val events_digest : run_result -> string
 (** SHA-1 over the rendered event stream (time, source, event); equal

@@ -815,3 +815,13 @@ let check_all checkers result =
         | Ok () -> Ok ()
         | Error msg -> Error (Printf.sprintf "[%s] %s" c.name msg)))
     (Ok ()) checkers
+
+let check_shards checkers results =
+  let many = List.length results > 1 in
+  List.concat
+    (List.mapi
+       (fun i result ->
+         match check_all checkers result with
+         | Ok () -> []
+         | Error msg -> [ (if many then Printf.sprintf "[shard %d] %s" i msg else msg) ])
+       results)

@@ -116,3 +116,7 @@ val named : string list -> (checker list, string) result
 
 val check_all : checker list -> Harness.run_result -> (unit, string) result
 (** First violation, prefixed with the checker's name. *)
+
+val check_shards : checker list -> Harness.run_result list -> string list
+(** {!check_all} on each shard's result, in shard order: one message
+    per violating shard, tagged ["[shard i]"] when there are several. *)

@@ -221,6 +221,41 @@ let test_no_false_accusation_honest_runs () =
     | Error msg -> Alcotest.failf "honest run %d: %s" i msg
   done
 
+(* ---------------- Harness: pinned streams ---------------- *)
+
+(* Event-stream digests and accepted-read counts pinned from an earlier
+   build.  The replay test above compares two runs of the same build;
+   these catch a stream that drifts between commits, e.g. from moving
+   the subscribe, load, fault, chaos or op steps of the harness. *)
+let check_pinned result ~digest ~accepted =
+  check string_t "events digest" digest (Harness.events_digest result);
+  check int_t "accepted reads" accepted (List.length result.Harness.accepted)
+
+let test_pinned_chaos_windows () =
+  let scenario =
+    {
+      (attack_scenario ~sys_seed:4242 ~mode:Fault.Corrupt_result ()) with
+      Scenario.slaves_per_master = 3;
+      faults = [];
+      chaos =
+        [
+          Scenario.Slave_cut { slave = 0; from_time = 2.0; outage = 4.0 };
+          Scenario.Slave_churn { slave = 1; from_time = 3.0; outage = 5.0 };
+          Scenario.Master_cut { master = 0; from_time = 4.0; outage = 2.0 };
+          Scenario.Auditor_cut { from_time = 5.0; outage = 3.0 };
+          Scenario.Loss_burst { loss = 0.3; from_time = 6.0; duration = 2.0 };
+          Scenario.Latency_spike { factor = 3.0; from_time = 8.0; duration = 2.0 };
+        ];
+    }
+  in
+  check_pinned (Harness.run scenario) ~digest:"02bbd35218b13f2b3639e2d059cc60fad9a3eb50"
+    ~accepted:12
+
+let test_pinned_liar () =
+  check_pinned
+    (Harness.run (attack_scenario ~sys_seed:77 ~mode:Fault.Corrupt_result ()))
+    ~digest:"455c3e67475c0210be6ad90bb8bd3a2894afb9cb" ~accepted:2
+
 (* ---------------- Differential audit ---------------- *)
 
 (* The tentpole's correctness argument: replay each attacked run's
@@ -371,6 +406,9 @@ let () =
         [
           Alcotest.test_case "identical event streams" `Quick test_harness_replay_identical;
           Alcotest.test_case "campaign deterministic" `Quick test_fuzz_campaign_deterministic;
+          Alcotest.test_case "pinned stream: K=1 chaos windows" `Quick
+            test_pinned_chaos_windows;
+          Alcotest.test_case "pinned stream: K=1 liar" `Quick test_pinned_liar;
         ] );
       ( "invariants",
         [

@@ -606,6 +606,48 @@ let test_run_sharded_domains_identical () =
   check (Alcotest.list string_t) "domains=2 identical" seq (digests 2);
   check (Alcotest.list string_t) "domains=8 (more than shards) identical" seq (digests 8)
 
+(* Per-shard digests and accepted-read counts pinned from an earlier
+   build: K=4 with a liar on shard 1, slave churn and the other
+   cross-shard chaos windows.  Catches drift between commits, which the
+   domains-identical test above (same build, same run) cannot. *)
+let test_run_sharded_pinned () =
+  let scenario =
+    {
+      (sharded_scenario ~sys_seed:2718
+         ~faults:
+           [
+             {
+               Scenario.slave = 1;
+               mode = Fault.Corrupt_result;
+               probability = 1.0;
+               from_time = 2.0;
+             };
+           ]
+         ())
+      with
+      Scenario.n_shards = 4;
+      chaos =
+        [
+          Scenario.Slave_churn { slave = 0; from_time = 4.0; outage = 6.0 };
+          Scenario.Slave_cut { slave = 1; from_time = 3.0; outage = 2.0 };
+          Scenario.Master_cut { master = 0; from_time = 5.0; outage = 2.0 };
+          Scenario.Auditor_cut { from_time = 6.0; outage = 3.0 };
+          Scenario.Loss_burst { loss = 0.2; from_time = 7.0; duration = 2.0 };
+        ];
+    }
+  in
+  let results = Harness.run_sharded scenario in
+  check (Alcotest.list string_t) "per-shard digests"
+    [
+      "ca63d95f5318917053b8c5ff0fffa08c43dddcb4";
+      "0a7b8eb24ef5fed1dbb0dba32902a4ecce23586a";
+      "ee4be0b617d1c9f3037cc10e92cfc57f089cb1ad";
+      "d07ab96514b45c3ff2412ddd125a9ee64210ee0d";
+    ]
+    (List.map Harness.events_digest results);
+  check (Alcotest.list int_t) "per-shard accepted reads" [ 5; 5; 4; 4 ]
+    (List.map (fun r -> List.length r.Harness.accepted) results)
+
 (* ---------------- HRW stability property ---------------- *)
 
 let qtest ?(count = 200) name gen prop =
@@ -684,5 +726,7 @@ let () =
             test_run_sharded_liar_invariants;
           Alcotest.test_case "K=1 degenerates to classic run" `Quick
             test_run_sharded_k1_degenerate;
+          Alcotest.test_case "pinned stream: K=4 liar and churn" `Quick
+            test_run_sharded_pinned;
         ] );
     ]
