@@ -1498,6 +1498,9 @@ let trace_cmd =
 let run_monitor ~file ~max_latency ~audit ~window ~format ~lineage_out ~check =
   if format <> "text" && format <> "json" then
     fail "unknown format %S (expected text or json)" format;
+  (match window with
+  | Some w when not (w > 0.0) -> fail "--window must be a positive number of seconds, got %g" w
+  | _ -> ());
   let config =
     Config.validate_exn { Config.default with Config.max_latency; audit_enabled = audit }
   in

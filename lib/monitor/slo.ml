@@ -228,15 +228,15 @@ let handle t event =
   | Event.State_update_applied { to_version; _ } ->
     if to_version > t.applied_max then begin
       t.applied_max <- to_version;
-      Hashtbl.iter
-        (fun v _ -> if v <= to_version then Hashtbl.remove t.pending_apply v)
-        (Hashtbl.copy t.pending_apply)
+      Hashtbl.filter_map_inplace
+        (fun v commit -> if v <= to_version then None else Some commit)
+        t.pending_apply
     end
   | Event.Audit_advance { version } ->
     if version > t.audited_max then t.audited_max <- version;
-    Hashtbl.iter
-      (fun v _ -> if v <= version then Hashtbl.remove t.pending_audit v)
-      (Hashtbl.copy t.pending_audit)
+    Hashtbl.filter_map_inplace
+      (fun v commit -> if v <= version then None else Some commit)
+      t.pending_audit
   | Event.Audit_overload { backlog } ->
     raise_alert t "auditor-lag" ~value:(float_of_int backlog)
       ~threshold:(float_of_int backlog)

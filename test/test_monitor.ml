@@ -308,6 +308,63 @@ let test_synthetic_availability_burn () =
   check bool_t "sensitive by-master is not bad" true
     (not (Slo.was_raised slo2 "availability"))
 
+let read_answered ~time ~request latency =
+  record ~time
+    (Event.Read_answered
+       { client = 0; request; slave = 0; outcome = "accepted"; version = 1; latency })
+
+let latency_alerts slo =
+  List.filter (fun (a : Slo.alert) -> a.Slo.rule = "read-latency") (Slo.alerts slo)
+
+(* 50 reads/s against a 30-s window (max_latency 5): 1,500 samples in
+   the window once it fills.  Phases by read time:
+   - [0, 40): all fast;
+   - [40, 60): every 20th read slow, 5.0-6.4 s: p99 crosses 5 (raise);
+   - [60, 120): every 50th read at 4.5 s, inside the hysteresis band
+     once the slow reads age out, so the alert holds;
+   - [120, 160): all fast again: p99 drops below 4 (clear). *)
+let test_synthetic_read_latency_lifecycle () =
+  let slo = synthetic_slo () in
+  let reads_until ~stop latency_of i0 =
+    let i = ref i0 in
+    while float_of_int !i *. 0.02 < stop do
+      Slo.observe slo (read_answered ~time:(float_of_int !i *. 0.02) ~request:!i (latency_of !i));
+      incr i
+    done;
+    !i
+  in
+  let fast i = 1.0 +. (0.001 *. float_of_int (i mod 100)) in
+  let i = reads_until ~stop:40.0 fast 0 in
+  check int_t "no alert while fast" 0 (List.length (latency_alerts slo));
+  let i =
+    reads_until ~stop:60.0
+      (fun i -> if i mod 20 = 0 then 5.0 +. (0.1 *. float_of_int (i / 20 mod 15)) else fast i)
+      i
+  in
+  check bool_t "raised" true (Slo.was_raised slo "read-latency");
+  let i = reads_until ~stop:120.0 (fun i -> if i mod 50 = 0 then 4.5 else fast i) i in
+  check bool_t "held between 0.8x and 1x" true
+    (List.exists (fun (a : Slo.alert) -> a.Slo.rule = "read-latency") (Slo.active slo));
+  ignore (reads_until ~stop:160.0 fast i);
+  match latency_alerts slo with
+  | [ a ] ->
+    (* pinned from the sort-on-demand window: read 2320 raises, read
+       6701 clears, the worst p99 is the 6.1-s read *)
+    check (Alcotest.float 0.0) "raised_at" 46.4 a.Slo.raised_at;
+    check (Alcotest.option (Alcotest.float 0.0)) "cleared_at" (Some 134.02) a.Slo.cleared_at;
+    check (Alcotest.float 0.0) "peak" 6.1 a.Slo.peak;
+    check (Alcotest.float 0.0) "threshold" 5.0 a.Slo.threshold
+  | l -> Alcotest.failf "expected one read-latency alert, got %d" (List.length l)
+
+let test_synthetic_read_latency_min_samples () =
+  let slo = synthetic_slo () in
+  for i = 1 to 19 do
+    Slo.observe slo (read_answered ~time:(float_of_int i *. 0.1) ~request:i 100.0)
+  done;
+  check bool_t "19 slow samples never raise" false (Slo.was_raised slo "read-latency");
+  Slo.observe slo (read_answered ~time:2.0 ~request:20 100.0);
+  check bool_t "the 20th raises" true (Slo.was_raised slo "read-latency")
+
 (* ---------------- invariant mapping ---------------- *)
 
 let test_rule_coverage_mapping () =
@@ -438,6 +495,10 @@ let () =
             test_synthetic_false_accusation;
           Alcotest.test_case "synthetic availability burn" `Quick
             test_synthetic_availability_burn;
+          Alcotest.test_case "synthetic read-latency lifecycle" `Quick
+            test_synthetic_read_latency_lifecycle;
+          Alcotest.test_case "synthetic read-latency min samples" `Quick
+            test_synthetic_read_latency_min_samples;
         ] );
       ( "lineage",
         [

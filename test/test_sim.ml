@@ -823,6 +823,139 @@ let test_rolling_percentile () =
     (Invalid_argument "Rolling.percentile: p outside [0,100]") (fun () ->
       ignore (Rolling.percentile r 101.0))
 
+let test_rolling_nan_window () =
+  Alcotest.check_raises "NaN window" (Invalid_argument "Rolling.create: window must be positive")
+    (fun () -> ignore (Rolling.create ~window:nan ()));
+  Alcotest.check_raises "zero window" (Invalid_argument "Rolling.create: window must be positive")
+    (fun () -> ignore (Rolling.create ~window:0.0 ()))
+
+(* Differential check against the sort-on-demand window it replaced
+   (test/rolling_oracle.ml).  Sums and means must agree bit for bit;
+   percentiles must agree under [compare], which is all the sort
+   guarantees (it may return either of 0.0 and -0.0). *)
+
+type rolling_op =
+  | Record of float * float (* time step, value *)
+  | Advance of float
+  | Fill of int * float * float list (* count, time step, values cycled *)
+
+let show_rolling_op = function
+  | Record (dt, v) -> Printf.sprintf "Record (%g, %g)" dt v
+  | Advance dt -> Printf.sprintf "Advance %g" dt
+  | Fill (n, dt, vs) ->
+    Printf.sprintf "Fill (%d, %g, [%s])" n dt (String.concat "; " (List.map string_of_float vs))
+
+let rolling_percentiles = [ 0.0; 1.0; 50.0; 99.0; 99.9; 100.0 ]
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let rolling_agrees r o =
+  Rolling.count r = Rolling_oracle.count o
+  && same_bits (Rolling.sum r) (Rolling_oracle.sum o)
+  && Option.equal same_bits (Rolling.mean r) (Rolling_oracle.mean o)
+  && List.for_all
+       (fun p ->
+         Option.equal
+           (fun a b -> compare a b = 0)
+           (Rolling.percentile r p) (Rolling_oracle.percentile o p))
+       rolling_percentiles
+
+let gen_rolling_case =
+  let open QCheck2.Gen in
+  let value =
+    frequency
+      [
+        (4, map float_of_int (int_bound 4)) (* many ties *);
+        (3, float_bound_inclusive 100.0);
+        (1, oneofl [ 0.0; -0.0; nan; infinity; neg_infinity; -2.5 ]);
+      ]
+  in
+  let step window =
+    frequency
+      [
+        (3, pure 0.0) (* equal timestamps *);
+        (4, map (fun f -> f *. window /. 20.0) (float_bound_inclusive 1.0));
+        (1, map (fun f -> window *. (0.8 +. (0.2 *. f))) (float_bound_inclusive 1.0))
+        (* evicts most of the window at once *);
+        (1, map (fun f -> window *. (2.0 +. f)) (float_bound_inclusive 1.0))
+        (* far past the window: empties it *);
+      ]
+  in
+  let fill ~lo ~hi window =
+    let* n = int_range lo hi in
+    let* dt = oneofl [ 0.0; window /. 5000.0 ] in
+    let* vs = list_size (int_range 1 4) value in
+    return (Fill (n, dt, vs))
+  in
+  let op ~fill_max window =
+    frequency
+      [
+        (6, map2 (fun dt v -> Record (dt, v)) (step window) value);
+        (2, map (fun dt -> Advance dt) (step window));
+        (1, fill ~lo:1 ~hi:fill_max window);
+      ]
+  in
+  let* window = oneofl [ 0.5; 5.0; 30.0 ] in
+  (* One case in ten starts with a burst of more than 1,000 samples. *)
+  let* big = frequency [ (9, pure false); (1, pure true) ] in
+  let* ops = list_size (int_range 1 (if big then 20 else 80)) (op ~fill_max:50 window) in
+  if big then
+    let* first = fill ~lo:1001 ~hi:1500 window in
+    return (window, first :: ops)
+  else return (window, ops)
+
+let print_rolling_case (window, ops) =
+  Printf.sprintf "window %g: [%s]" window (String.concat "; " (List.map show_rolling_op ops))
+
+let rolling_differential (window, ops) =
+  let r = Rolling.create ~window () and o = Rolling_oracle.create ~window () in
+  let now = ref 0.0 in
+  let record v =
+    Rolling.record r ~time:!now v;
+    Rolling_oracle.record o ~time:!now v
+  in
+  List.for_all
+    (fun op ->
+      (match op with
+      | Record (dt, v) ->
+        now := !now +. dt;
+        record v
+      | Advance dt ->
+        now := !now +. dt;
+        Rolling.advance r ~now:!now;
+        Rolling_oracle.advance o ~now:!now
+      | Fill (n, dt, vs) ->
+        let vs = Array.of_list vs in
+        for i = 0 to n - 1 do
+          now := !now +. dt;
+          record vs.(i mod Array.length vs)
+        done);
+      rolling_agrees r o)
+    ops
+
+let rolling_differential_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000 ~name:"rolling: matches the sort-on-demand oracle"
+       ~print:print_rolling_case gen_rolling_case rolling_differential)
+
+let test_rolling_large_window () =
+  (* 2,000 samples with many ties, then evictions one at a time. *)
+  let r = Rolling.create ~window:100.0 () and o = Rolling_oracle.create ~window:100.0 () in
+  for i = 0 to 1999 do
+    let time = float_of_int i *. 0.05 and v = float_of_int ((i * 7919) mod 13) in
+    Rolling.record r ~time v;
+    Rolling_oracle.record o ~time v
+  done;
+  check int_t "above 1,000 samples" 2000 (Rolling.count r);
+  check bool_t "full window agrees" true (rolling_agrees r o);
+  for k = 1 to 40 do
+    let now = 100.0 +. (float_of_int k *. 2.5) in
+    Rolling.advance r ~now;
+    Rolling_oracle.advance o ~now;
+    check bool_t (Printf.sprintf "agrees at %g" now) true (rolling_agrees r o)
+  done;
+  check int_t "emptied" 0 (Rolling.count r)
+
 (* ---------------- Timeseries (aggregation edges) ---------------- *)
 
 let test_timeseries_empty_edges () =
@@ -1123,6 +1256,9 @@ let () =
           Alcotest.test_case "record evicts stale" `Quick test_rolling_record_evicts_too;
           Alcotest.test_case "out-of-order guard" `Quick test_rolling_out_of_order;
           Alcotest.test_case "percentile nearest-rank" `Quick test_rolling_percentile;
+          Alcotest.test_case "NaN window rejected" `Quick test_rolling_nan_window;
+          Alcotest.test_case "window above 1,000 samples" `Quick test_rolling_large_window;
+          rolling_differential_prop;
         ] );
       ( "timeseries",
         [
