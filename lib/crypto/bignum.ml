@@ -27,21 +27,6 @@ let of_int n =
 let one = of_int 1
 let two = of_int 2
 
-let to_int_opt (a : t) =
-  (* Native ints hold 62 usable bits: at most 3 limbs with the top one
-     small enough. *)
-  let n = Array.length a in
-  if n > 3 then None
-  else begin
-    let rec go i acc =
-      if i < 0 then Some acc
-      else
-        let acc' = (acc lsl limb_bits) lor a.(i) in
-        if acc' < acc then None else go (i - 1) acc'
-    in
-    go (n - 1) 0
-  end
-
 let is_even (a : t) = is_zero a || a.(0) land 1 = 0
 
 let compare (a : t) (b : t) =
@@ -122,6 +107,11 @@ let bit_length (a : t) =
     let rec width w = if top lsr w = 0 then w else width (w + 1) in
     ((n - 1) * limb_bits) + width 0
   end
+
+let to_int_opt (a : t) =
+  (* Native ints hold 62 usable bits. *)
+  if bit_length a > 62 then None
+  else Some (Array.fold_right (fun limb acc -> (acc lsl limb_bits) lor limb) a 0)
 
 let test_bit (a : t) i =
   let limb = i / limb_bits and off = i mod limb_bits in
@@ -279,10 +269,19 @@ let use_montgomery = ref true
 module Mont = struct
   (* Montgomery arithmetic over the 26-bit limbs.  For an odd modulus m
      of k limbs, R = 2^(26k) and values live as residues a*R mod m in
-     padded k-limb arrays.  The word-at-a-time CIOS product interleaves
-     multiplication with the reduction, so the hot loop is a single
-     fused pass with no division anywhere: limb products (52 bits) plus
-     carries stay inside the native int exactly as in [mul]. *)
+     padded k-limb arrays.
+
+     The product is finely integrated product scanning (FIPS): output
+     column i adds every limb product a[j]*b[i-j] and every reduction
+     product u[j]*m[i-j] into one native int without splitting them,
+     and only then peels off the low 26 bits.  The first k columns
+     choose the reduction digits u (each makes its column divisible by
+     2^26); the last k columns are the result shifted down by R.  A
+     column holds at most 2k products below 2^52 plus a carry below
+     2k * 2^27, which fits a 63-bit int for k < 512; [max_limbs] keeps
+     a factor of two of headroom. *)
+
+  let max_limbs = 256
 
   type ctx = {
     m : t;  (** the modulus itself, normalized; odd and > 1 *)
@@ -301,64 +300,94 @@ module Mont = struct
     Array.blit a 0 r 0 (Array.length a);
     r
 
-  (* c = mont(a, b) = a * b * R^-1 mod m, all as k-limb arrays, using
-     the coarsely-integrated operand-scanning (CIOS) schedule.  Inputs
-     must be < m; the output is fully reduced. *)
-  let mul_raw ctx (a : int array) (b : int array) : int array =
-    let k = ctx.k and m = ctx.limbs and m0' = ctx.m0' in
-    let t = Array.make (k + 2) 0 in
-    for i = 0 to k - 1 do
-      let ai = a.(i) in
-      let c = ref 0 in
-      for j = 0 to k - 1 do
-        let x = t.(j) + (ai * b.(j)) + !c in
-        t.(j) <- x land mask;
-        c := x lsr limb_bits
-      done;
-      let x = t.(k) + !c in
-      t.(k) <- x land mask;
-      t.(k + 1) <- x lsr limb_bits;
-      (* u makes t divisible by 2^26; add u*m and shift one limb down. *)
-      let u = (t.(0) * m0') land mask in
-      let c = ref ((t.(0) + (u * m.(0))) lsr limb_bits) in
-      for j = 1 to k - 1 do
-        let x = t.(j) + (u * m.(j)) + !c in
-        t.(j - 1) <- x land mask;
-        c := x lsr limb_bits
-      done;
-      let x = t.(k) + !c in
-      t.(k - 1) <- x land mask;
-      t.(k) <- t.(k + 1) + (x lsr limb_bits);
-      t.(k + 1) <- 0
-    done;
-    (* CIOS leaves t < 2m (m < R), so at most one subtraction. *)
-    let ge =
-      t.(k) <> 0
-      ||
-      let rec cmp i = if i < 0 then true else if t.(i) <> m.(i) then t.(i) > m.(i) else cmp (i - 1) in
-      cmp (k - 1)
-    in
-    let r = Array.sub t 0 k in
-    if ge then begin
+  (* Monomorphic on purpose: an alias of the polymorphic
+     [Array.unsafe_get] compiles to a generic load that tests for float
+     arrays on every access, which cost the kernel most of its gain. *)
+  external get : int array -> int -> int = "%array_unsafe_get"
+  external set : int array -> int -> int -> unit = "%array_unsafe_set"
+
+  (* dst >= m, comparing limbs i down to 0. *)
+  let rec geq (dst : int array) (m : int array) i =
+    i < 0
+    ||
+    let d = get dst i and mi = get m i in
+    if d <> mi then d > mi else geq dst m (i - 1)
+
+  (* The column sums leave dst + top*R < 2m; bring it below m. *)
+  let reduce_once ctx (dst : int array) top =
+    let k = ctx.k and m = ctx.limbs in
+    if top <> 0 || geq dst m (k - 1) then begin
       let borrow = ref 0 in
       for i = 0 to k - 1 do
-        let d = r.(i) - m.(i) - !borrow in
-        if d < 0 then begin
-          r.(i) <- d + base;
-          borrow := 1
-        end
-        else begin
-          r.(i) <- d;
-          borrow := 0
-        end
+        let d = get dst i - get m i - !borrow in
+        set dst i (d land mask);
+        borrow := (d asr limb_bits) land 1
       done
-    end;
-    r
+    end
+
+  (* dst <- a * b * R^-1 mod m.  [u] is k limbs of scratch for the
+     reduction digits.  Column i >= k reads only limbs above i-k, so
+     writing dst[i-k] there is safe when dst is a or b. *)
+  let fips_mul ctx (u : int array) (dst : int array) (a : int array) (b : int array) =
+    let k = ctx.k and m = ctx.limbs and m0' = ctx.m0' in
+    let c = ref 0 in
+    for i = 0 to k - 1 do
+      let acc = ref (!c + (get a i * get b 0)) in
+      for j = 0 to i - 1 do
+        acc := !acc + (get a j * get b (i - j)) + (get u j * get m (i - j))
+      done;
+      let ui = ((!acc land mask) * m0') land mask in
+      set u i ui;
+      c := (!acc + (ui * get m 0)) lsr limb_bits
+    done;
+    for i = k to (2 * k) - 1 do
+      let acc = ref !c in
+      for j = i - k + 1 to k - 1 do
+        acc := !acc + (get a j * get b (i - j)) + (get u j * get m (i - j))
+      done;
+      set dst (i - k) (!acc land mask);
+      c := !acc lsr limb_bits
+    done;
+    reduce_once ctx dst !c
+
+  (* dst <- a^2 * R^-1 mod m: as [fips_mul], but each cross product
+     a[j]*a[i-j] (j < i-j) is formed once and doubled. *)
+  let fips_sqr ctx (u : int array) (dst : int array) (a : int array) =
+    let k = ctx.k and m = ctx.limbs and m0' = ctx.m0' in
+    let c = ref 0 in
+    for i = 0 to k - 1 do
+      let cross = ref 0 in
+      for j = 0 to ((i + 1) / 2) - 1 do
+        cross := !cross + (get a j * get a (i - j))
+      done;
+      let acc = ref (!c + (!cross lsl 1)) in
+      if i land 1 = 0 then acc := !acc + (get a (i / 2) * get a (i / 2));
+      for j = 0 to i - 1 do
+        acc := !acc + (get u j * get m (i - j))
+      done;
+      let ui = ((!acc land mask) * m0') land mask in
+      set u i ui;
+      c := (!acc + (ui * get m 0)) lsr limb_bits
+    done;
+    for i = k to (2 * k) - 1 do
+      let cross = ref 0 in
+      for j = i - k + 1 to ((i + 1) / 2) - 1 do
+        cross := !cross + (get a j * get a (i - j))
+      done;
+      let acc = ref (!c + (!cross lsl 1)) in
+      if i land 1 = 0 then acc := !acc + (get a (i / 2) * get a (i / 2));
+      for j = i - k + 1 to k - 1 do
+        acc := !acc + (get u j * get m (i - j))
+      done;
+      set dst (i - k) (!acc land mask);
+      c := !acc lsr limb_bits
+    done;
+    reduce_once ctx dst !c
 
   let make (m : t) : ctx option =
-    if Array.length m = 0 || m.(0) land 1 = 0 || equal m one then None
+    let k = Array.length m in
+    if k = 0 || k > max_limbs || m.(0) land 1 = 0 || equal m one then None
     else begin
-      let k = Array.length m in
       (* -m[0]^-1 mod 2^26 by Hensel lifting: each step doubles the
          bits of precision, 1 -> 32 in five steps. *)
       let m0 = m.(0) in
@@ -374,50 +403,85 @@ module Mont = struct
       Some { m; limbs = pad k m; k; m0'; r2; one_m; one_lit = pad k one }
     end
 
-  let to_mont ctx a = normalize (mul_raw ctx (pad ctx.k (rem a ctx.m)) ctx.r2)
-  let from_mont ctx a = normalize (mul_raw ctx (pad ctx.k a) ctx.one_lit)
+  let limbs ctx a = pad ctx.k (rem a ctx.m)
+  let scratch ctx = Array.make ctx.k 0
+
+  let check_len ctx name (a : int array) =
+    if Array.length a <> ctx.k then invalid_arg ("Bignum.Mont." ^ name ^ ": wrong length")
+
+  let mul_into ctx ~scratch:u ~dst a b =
+    List.iter (check_len ctx "mul_into") [ u; dst; a; b ];
+    fips_mul ctx u dst a b
+
+  let sqr_into ctx ~scratch:u ~dst a =
+    List.iter (check_len ctx "sqr_into") [ u; dst; a ];
+    fips_sqr ctx u dst a
+
+  let to_mont ctx a =
+    let x = limbs ctx a in
+    fips_mul ctx (scratch ctx) x x ctx.r2;
+    normalize x
+
+  let from_mont ctx a =
+    let x = limbs ctx a in
+    fips_mul ctx (scratch ctx) x x ctx.one_lit;
+    normalize x
+
   let one ctx = normalize (Array.copy ctx.one_m)
 
   let mul ctx a b =
-    normalize (mul_raw ctx (pad ctx.k (rem a ctx.m)) (pad ctx.k (rem b ctx.m)))
+    let x = limbs ctx a in
+    fips_mul ctx (scratch ctx) x x (limbs ctx b);
+    normalize x
 
-  (* b^e mod m as a Montgomery residue (k-limb array). *)
-  let exp_raw ctx (b : t) (e : t) : int array =
-    let x = mul_raw ctx (pad ctx.k (rem b ctx.m)) ctx.r2 in
+  let sqr ctx a =
+    let x = limbs ctx a in
+    fips_sqr ctx (scratch ctx) x x;
+    normalize x
+
+  (* b^e mod m as a Montgomery residue (k-limb array).  The scratch [u]
+     serves every product; the accumulator is updated in place. *)
+  let exp_raw ctx u (b : t) (e : t) : int array =
+    let x = limbs ctx b in
+    fips_mul ctx u x x ctx.r2;
     let ebits = bit_length e in
     if ebits = 0 then Array.copy ctx.one_m
     else if Array.length e = 1 && e.(0) = 65537 then begin
       (* The RSA verify exponent: 16 squarings and one multiply, no
          window table to fill. *)
-      let acc = ref x in
+      let acc = Array.copy x in
       for _ = 1 to 16 do
-        acc := mul_raw ctx !acc !acc
+        fips_sqr ctx u acc acc
       done;
-      mul_raw ctx !acc x
+      fips_mul ctx u acc acc x;
+      acc
     end
     else if ebits <= 8 then begin
       (* Short exponents don't amortize a window table. *)
-      let acc = ref (Array.copy x) in
+      let acc = Array.copy x in
       for i = ebits - 2 downto 0 do
-        acc := mul_raw ctx !acc !acc;
-        if test_bit e i then acc := mul_raw ctx !acc x
+        fips_sqr ctx u acc acc;
+        if test_bit e i then fips_mul ctx u acc acc x
       done;
-      !acc
+      acc
     end
     else begin
       (* 4-bit sliding windows over the precomputed odd powers
          x^1, x^3, ..., x^15: one multiply per window instead of one
          per set bit. *)
-      let x2 = mul_raw ctx x x in
+      let x2 = Array.make ctx.k 0 in
+      fips_sqr ctx u x2 x;
       let odd = Array.make 8 x in
       for i = 1 to 7 do
-        odd.(i) <- mul_raw ctx odd.(i - 1) x2
+        let p = Array.make ctx.k 0 in
+        fips_mul ctx u p odd.(i - 1) x2;
+        odd.(i) <- p
       done;
-      let acc = ref (Array.copy ctx.one_m) in
+      let acc = Array.copy ctx.one_m in
       let i = ref (ebits - 1) in
       while !i >= 0 do
         if not (test_bit e !i) then begin
-          acc := mul_raw ctx !acc !acc;
+          fips_sqr ctx u acc acc;
           decr i
         end
         else begin
@@ -431,17 +495,22 @@ module Mont = struct
             w := (!w lsl 1) lor (if test_bit e j then 1 else 0)
           done;
           for _ = !l to !i do
-            acc := mul_raw ctx !acc !acc
+            fips_sqr ctx u acc acc
           done;
-          acc := mul_raw ctx !acc odd.((!w - 1) / 2);
+          fips_mul ctx u acc acc odd.((!w - 1) / 2);
           i := !l - 1
         end
       done;
-      !acc
+      acc
     end
 
-  let exp_mont ctx ~base:b ~exp:e = normalize (exp_raw ctx b e)
-  let exp ctx ~base:b ~exp:e = normalize (mul_raw ctx (exp_raw ctx b e) ctx.one_lit)
+  let exp_mont ctx ~base:b ~exp:e = normalize (exp_raw ctx (scratch ctx) b e)
+
+  let exp ctx ~base:b ~exp:e =
+    let u = scratch ctx in
+    let acc = exp_raw ctx u b e in
+    fips_mul ctx u acc acc ctx.one_lit;
+    normalize acc
 end
 
 let mod_exp ~base:b ~exp ~modulus =

@@ -20,7 +20,8 @@ val of_int : int -> t
     on negative input. *)
 
 val to_int_opt : t -> int option
-(** [to_int_opt n] is [Some i] when [n] fits in a native [int]. *)
+(** [to_int_opt n] is [Some i] when [n] fits in a native [int], that is
+    when [bit_length n <= 62]. *)
 
 val is_zero : t -> bool
 val is_even : t -> bool
@@ -57,9 +58,10 @@ val mod_exp : base:t -> exp:t -> modulus:t -> t
 (** [mod_exp ~base ~exp ~modulus] is [base^exp mod modulus].
     [modulus] must be non-zero.  Odd moduli > 1 go through the
     Montgomery kernel ({!Mont}) with 4-bit sliding-window
-    exponentiation; even moduli (and the degenerate modulus 1) fall
-    back to {!mod_exp_schoolbook}.  Both paths compute the same exact
-    value — the Montgomery representation is internal only. *)
+    exponentiation; even moduli, the degenerate modulus 1 and moduli
+    above {!Mont.max_limbs} limbs fall back to {!mod_exp_schoolbook}.
+    Both paths compute the same exact value — the Montgomery
+    representation is internal only. *)
 
 val mod_exp_schoolbook : base:t -> exp:t -> modulus:t -> t
 (** The seed implementation: left-to-right binary exponentiation with a
@@ -73,15 +75,31 @@ val use_montgomery : bool ref
     while no other domain is computing. *)
 
 module Mont : sig
-  (** Montgomery arithmetic for a fixed odd modulus: a per-modulus
-      context precomputes [-m^-1 mod 2^26] and [R^2 mod m]
-      (R = 2^(26k) for a k-limb modulus), after which modular products
-      cost one fused CIOS pass with no division. *)
+  (** Montgomery arithmetic for a fixed odd modulus m of k limbs,
+      with R = 2^(26k).  A per-modulus context precomputes
+      [-m^-1 mod 2^26], [R mod m] and [R^2 mod m]; it is immutable, so
+      one context may be shared by every holder of a key and used from
+      several domains at once.
+
+      Every entry point runs on one kernel, finely integrated product
+      scanning: each output column sums its 26-bit limb products and
+      reduction products in a native [int] without splitting them, and
+      a dedicated squaring forms each cross product once and doubles
+      it.  Products write in place into arrays of exactly k limbs, with
+      k limbs of caller-owned scratch for the reduction digits; an
+      exponentiation allocates its scratch once.  The column sums stay
+      below 2^62 only while k <= {!max_limbs}, so {!make} rejects
+      larger moduli and {!mod_exp} sends them to the schoolbook path. *)
 
   type ctx
 
+  val max_limbs : int
+  (** The largest modulus the kernel accepts, in 26-bit limbs: 256
+      limbs, 6,656 bits. *)
+
   val make : t -> ctx option
-  (** [make m] is [None] unless [m] is odd and [> 1]. *)
+  (** [make m] is [None] unless [m] is odd, [> 1] and at most
+      {!max_limbs} limbs long. *)
 
   val modulus : ctx -> t
 
@@ -95,6 +113,9 @@ module Mont : sig
   val mul : ctx -> t -> t -> t
   (** Product of two Montgomery residues, as a Montgomery residue. *)
 
+  val sqr : ctx -> t -> t
+  (** [sqr ctx a] is [mul ctx a a], through the dedicated squaring. *)
+
   val exp : ctx -> base:t -> exp:t -> t
   (** [exp ctx ~base ~exp] is [base^exp mod m] in the ordinary domain:
       4-bit sliding windows over precomputed odd powers, with a
@@ -104,6 +125,28 @@ module Mont : sig
   val exp_mont : ctx -> base:t -> exp:t -> t
   (** Like {!exp} but returns the Montgomery residue, for callers that
       keep a squaring chain in Montgomery form (Miller-Rabin). *)
+
+  (** {2 In-place kernel}
+
+      The layer the functions above run on, over little-endian arrays
+      of exactly k 26-bit limbs.  Inputs must be below [m]; outputs
+      are.  [dst] may be the same array as either input; [scratch]
+      must be neither. *)
+
+  val limbs : ctx -> t -> int array
+  (** [limbs ctx a] is [a mod m] as a fresh k-limb array. *)
+
+  val scratch : ctx -> int array
+  (** Fresh scratch for {!mul_into} and {!sqr_into}. *)
+
+  val mul_into : ctx -> scratch:int array -> dst:int array -> int array -> int array -> unit
+  (** [mul_into ctx ~scratch ~dst a b] stores [a * b * R^-1 mod m] in
+      [dst].  Raises [Invalid_argument] if an array is not k limbs
+      long. *)
+
+  val sqr_into : ctx -> scratch:int array -> dst:int array -> int array -> unit
+  (** [sqr_into ctx ~scratch ~dst a] is [mul_into ctx ~scratch ~dst a a]
+      through the dedicated squaring. *)
 end
 
 val gcd : t -> t -> t

@@ -30,7 +30,7 @@ let miller_rabin_witness ?ctx n d s a =
       let witness = ref true in
       (try
          for _ = 1 to s - 1 do
-           x := Bignum.Mont.mul ctx !x !x;
+           x := Bignum.Mont.sqr ctx !x;
            if Bignum.equal !x n1_m then begin
              witness := false;
              raise Exit

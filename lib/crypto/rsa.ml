@@ -22,8 +22,9 @@ let make_public ~n ~e = { n; e; n_mont = Bignum.Mont.make n }
 
 (* All exponentiations go through here: the cached Montgomery context
    when there is one and the kernel is enabled, the seed schoolbook
-   path otherwise (even/degenerate moduli from hostile decodes, or the
-   E15 baseline flag).  Both compute the identical value. *)
+   path otherwise (even/degenerate moduli from hostile decodes, moduli
+   above [Bignum.Mont.max_limbs], or the E15 baseline flag).  Both
+   compute the identical value. *)
 let mexp ctx ~base ~exp ~modulus =
   match ctx with
   | Some c when !Bignum.use_montgomery -> Bignum.Mont.exp c ~base ~exp

@@ -11,8 +11,9 @@ type public_key = {
   e : Bignum.t;
   n_mont : Bignum.Mont.ctx option;
       (* Montgomery context for n, built once at key creation/decode;
-         [None] only for degenerate (even or trivial) decoded moduli,
-         which then verify via the schoolbook path. *)
+         [None] only for degenerate (even or trivial) decoded moduli
+         and moduli above [Bignum.Mont.max_limbs] limbs, which then
+         verify via the schoolbook path. *)
 }
 
 type private_key = {

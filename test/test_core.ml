@@ -670,6 +670,37 @@ let test_e2e_honest_run () =
   check int_t "nothing caught" 0 (Auditor.caught (System.auditor system));
   check int_t "no exclusions" 0 (List.length (Corrective.excluded (System.corrective system)))
 
+(* An RSA-512 run pinned end to end.  Every pledge, certificate and
+   keep-alive is a real RSA signature here, and the CLI has no RSA
+   flag, so no golden output covers this path.  The digest was recorded
+   with the CIOS Montgomery kernel that the product-scanning kernel
+   replaced; a kernel change must not move it. *)
+let test_e2e_rsa_events_digest_pinned () =
+  let config =
+    {
+      fast_config with
+      Config.scheme = Sig_scheme.Rsa { bits = 512 };
+      double_check_probability = 0.3;
+    }
+  in
+  let system = make_system ~config ~seed:512L () in
+  let sha = Secrep_crypto.Sha1.init () in
+  Trace.on_emit (System.trace system) (fun r ->
+      Secrep_crypto.Sha1.feed sha
+        (Printf.sprintf "%.9f|%s|%s\n" r.Trace.time r.Trace.source
+           (Event.to_string r.Trace.event)));
+  let victim = System.slave_of_client system 0 in
+  System.set_slave_behavior system ~slave:victim
+    (Fault.Malicious { probability = 0.5; mode = Fault.Corrupt_result; from_time = 20.0 });
+  System.write system ~client:1
+    (Oplog.Set_field { key = "item:002"; field = "price"; value = Value.Float 9.5 })
+    ~on_done:(fun _ -> ());
+  let reports = issue_reads system ~n:100 ~spacing:0.5 in
+  System.run_for system 60.0;
+  check int_t "reads completed" 100 (List.length !reports);
+  check string_t "events digest" "ca56227f236e208ed5c50c6055096342a9061eb7"
+    (Secrep_crypto.Hex.encode (Secrep_crypto.Sha1.finalize sha))
+
 let test_e2e_event_taxonomy () =
   (* A run with writes, double-checking and a liar exercises most of
      the typed-event taxonomy; the trace must carry the structured
@@ -1661,5 +1692,7 @@ let () =
           Alcotest.test_case "determinism across equal seeds" `Quick test_e2e_determinism;
           Alcotest.test_case "client setup" `Quick test_e2e_client_setup_counts;
           prop_eventual_detection;
+          Alcotest.test_case "rsa-512 events digest pinned" `Quick
+            test_e2e_rsa_events_digest_pinned;
         ] );
     ]

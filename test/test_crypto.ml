@@ -225,6 +225,18 @@ let test_bignum_basics () =
   check bool_t "is_even 2" true (Bignum.is_even Bignum.two);
   check bool_t "is_even 1" false (Bignum.is_even Bignum.one)
 
+let test_bignum_to_int_opt_bounds () =
+  (* Native ints hold 62 usable bits.  2^66 + 2^61 is the regression:
+     an overflow test on the shifted accumulator let it wrap to
+     Some 2^61. *)
+  let pow2 k = Bignum.shift_left Bignum.one k in
+  check (Alcotest.option int_t) "2^62 - 1 fits" (Some max_int)
+    (Bignum.to_int_opt (Bignum.pred (pow2 62)));
+  check (Alcotest.option int_t) "2^62 does not fit" None (Bignum.to_int_opt (pow2 62));
+  check (Alcotest.option int_t) "2^66 + 2^61 does not fit" None
+    (Bignum.to_int_opt (Bignum.add (pow2 66) (pow2 61)));
+  check (Alcotest.option int_t) "zero" (Some 0) (Bignum.to_int_opt Bignum.zero)
+
 let test_bignum_of_int_negative () =
   Alcotest.check_raises "negative" (Invalid_argument "Bignum.of_int: negative") (fun () ->
       ignore (Bignum.of_int (-1)))
@@ -545,6 +557,132 @@ let prop_mod_exp_even_modulus =
         (Bignum.mod_exp ~base:b ~exp:(Bignum.of_int e) ~modulus:m)
         (Bignum.mod_exp_schoolbook ~base:b ~exp:(Bignum.of_int e) ~modulus:m))
 
+(* ---------------- Montgomery kernel vs the CIOS oracle ---------------- *)
+
+(* A uniformly random value of exactly [bits] bits. *)
+let gen_exact_bits bits =
+  QCheck2.Gen.map
+    (fun raw ->
+      let v = Bignum.shift_right (Bignum.of_bytes_be raw) ((8 * ((bits + 7) / 8)) - bits) in
+      let top = Bignum.shift_left Bignum.one (bits - 1) in
+      if Bignum.test_bit v (bits - 1) then v else Bignum.add v top)
+    (QCheck2.Gen.string_size ~gen:QCheck2.Gen.char (QCheck2.Gen.return ((bits + 7) / 8)))
+
+let make_odd v = if Bignum.is_even v then Bignum.succ v else v
+let all_ones_limbs k = Bignum.pred (Bignum.shift_left Bignum.one (26 * k))
+let bound_bits = 26 * Bignum.Mont.max_limbs
+
+(* Moduli for the differential properties: RSA sizes, all-ones limbs
+   (2^26 - 1 everywhere, the largest column sums), and moduli exactly
+   at the kernel's limb bound.  Each comes with a cap on exponent bits
+   that keeps the oracle's big cases quick. *)
+let gen_kernel_modulus =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 6,
+          oneofl [ 256; 512; 1024; 2048 ] >>= fun bits ->
+          map (fun m -> (make_odd m, 1024)) (gen_exact_bits bits) );
+        (2, map (fun k -> (all_ones_limbs k, 256)) (int_range 1 80));
+        (1, return (all_ones_limbs Bignum.Mont.max_limbs, 48));
+        (1, map (fun m -> (make_odd m, 48)) (gen_exact_bits bound_bits));
+      ])
+
+(* Operands for modulus [m]: random below m, all-ones low limbs under
+   m's top limb, m - 1, 0, and unreduced values up to twice m's
+   width. *)
+let gen_operand m =
+  let bits = Bignum.bit_length m in
+  let low = 26 * ((bits - 1) / 26) in
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, map (fun v -> Bignum.rem v m) (gen_exact_bits bits));
+        (2, return (Bignum.pred (Bignum.shift_left (Bignum.shift_right m low) low)));
+        (1, return (Bignum.pred m));
+        (1, return Bignum.zero);
+        (2, int_range (bits + 1) (2 * bits) >>= gen_exact_bits);
+      ])
+
+let gen_exponent cap =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, int_range 9 cap >>= gen_exact_bits);
+        (2, int_range 1 8 >>= gen_exact_bits);
+        (1, return (Bignum.of_int 65537));
+        (1, oneofl [ Bignum.zero; Bignum.one ]);
+      ])
+
+let gen_kernel_case =
+  QCheck2.Gen.(
+    gen_kernel_modulus >>= fun (m, cap) ->
+    triple (gen_operand m) (gen_operand m) (gen_exponent cap) >|= fun (a, b, e) -> (m, a, b, e))
+
+let print_kernel_case (m, a, b, e) =
+  Printf.sprintf "m=%s a=%s b=%s e=%s" (Bignum.to_hex m) (Bignum.to_hex a) (Bignum.to_hex b)
+    (Bignum.to_hex e)
+
+let kernel_qtest ?(count = 150) name prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count ~name ~print:print_kernel_case gen_kernel_case (fun (m, a, b, e) ->
+         match (Bignum.Mont.make m, Mont_oracle.make m) with
+         | Some ctx, Some octx -> prop ctx octx (m, a, b, e)
+         | _ -> false))
+
+(* The oracle's product of [a mod m] and [b mod m] as padded limbs. *)
+let oracle_limbs octx m a b =
+  let k = octx.Mont_oracle.k in
+  Mont_oracle.mul_raw octx (Mont_oracle.pad k (Bignum.rem a m)) (Mont_oracle.pad k (Bignum.rem b m))
+
+let prop_kernel_mul =
+  kernel_qtest "montgomery: kernel mul = CIOS oracle, in place too" (fun ctx octx (m, a, b, _) ->
+      let want = oracle_limbs octx m a b in
+      let u = Bignum.Mont.scratch ctx in
+      let into_a = Bignum.Mont.limbs ctx a and into_b = Bignum.Mont.limbs ctx b in
+      Bignum.Mont.mul_into ctx ~scratch:u ~dst:into_a into_a (Bignum.Mont.limbs ctx b);
+      Bignum.Mont.mul_into ctx ~scratch:u ~dst:into_b (Bignum.Mont.limbs ctx a) into_b;
+      Bignum.equal (Bignum.Mont.mul ctx a b) (Mont_oracle.mul octx a b)
+      && into_a = want && into_b = want)
+
+let prop_kernel_sqr =
+  kernel_qtest "montgomery: kernel square = CIOS oracle, in place too" (fun ctx octx (m, a, _, _) ->
+      let want = oracle_limbs octx m a a in
+      let u = Bignum.Mont.scratch ctx in
+      let sq = Bignum.Mont.limbs ctx a and prod = Bignum.Mont.limbs ctx a in
+      Bignum.Mont.sqr_into ctx ~scratch:u ~dst:sq sq;
+      Bignum.Mont.mul_into ctx ~scratch:u ~dst:prod prod prod;
+      Bignum.equal (Bignum.Mont.sqr ctx a) (Mont_oracle.mul octx a a) && sq = want && prod = want)
+
+let prop_kernel_exp =
+  kernel_qtest ~count:100 "montgomery: kernel exp = CIOS oracle" (fun ctx octx (_, b, _, e) ->
+      Bignum.equal (Bignum.Mont.exp ctx ~base:b ~exp:e) (Mont_oracle.exp octx ~base:b ~exp:e)
+      && Bignum.equal
+           (Bignum.Mont.exp_mont ctx ~base:b ~exp:e)
+           (Mont_oracle.exp_mont octx ~base:b ~exp:e))
+
+let test_kernel_limb_bound () =
+  let at = make_odd (all_ones_limbs Bignum.Mont.max_limbs) in
+  let above = Bignum.add (Bignum.shift_left Bignum.one bound_bits) Bignum.one in
+  check int_t "bound is 256 limbs" 256 Bignum.Mont.max_limbs;
+  check bool_t "modulus at the bound accepted" true (Option.is_some (Bignum.Mont.make at));
+  check bool_t "one bit above the bound rejected" true (Option.is_none (Bignum.Mont.make above));
+  (* Above the bound mod_exp takes the schoolbook path. *)
+  let b = Bignum.of_int 3 and e = Bignum.of_int 1_000_003 in
+  check string_t "mod_exp above the bound"
+    (Bignum.to_hex (Mont_oracle.exp (Option.get (Mont_oracle.make above)) ~base:b ~exp:e))
+    (Bignum.to_hex (Bignum.mod_exp ~base:b ~exp:e ~modulus:above));
+  let ctx = Option.get (Bignum.Mont.make (bn "1000000007")) in
+  Alcotest.check_raises "short dst" (Invalid_argument "Bignum.Mont.mul_into: wrong length")
+    (fun () ->
+      let x = Bignum.Mont.limbs ctx Bignum.two in
+      Bignum.Mont.mul_into ctx ~scratch:(Bignum.Mont.scratch ctx) ~dst:[||] x x)
+
+let prop_kernel_above_bound =
+  qtest ~count:10 "montgomery: moduli above the limb bound are rejected"
+    QCheck2.Gen.(int_range (bound_bits + 1) (bound_bits + 300) >>= gen_exact_bits)
+    (fun m -> Option.is_none (Bignum.Mont.make (make_odd m)))
+
 (* ---------------- Radix conversions vs the seed algorithms ---------------- *)
 
 let gen_bignum_mixed = QCheck2.Gen.oneof [ gen_bignum; gen_bignum_hexy ]
@@ -694,7 +832,8 @@ let test_rsa_signature_bit_identity () =
   in
   let keys =
     [ ("512-bit", Lazy.force shared_key);
-      ("256-bit", Rsa.generate (Prng.create ~seed:41L) ~bits:256) ]
+      ("256-bit", Rsa.generate (Prng.create ~seed:41L) ~bits:256);
+      ("1024-bit", Rsa.generate (Prng.create ~seed:43L) ~bits:1024) ]
   in
   let with_flag v f =
     let saved = !Bignum.use_montgomery in
@@ -715,6 +854,25 @@ let test_rsa_signature_bit_identity () =
             (with_flag false (fun () -> Rsa.verify key.Rsa.pub ~msg ~signature:fast)))
         corpus)
     keys
+
+(* Key generation and signing pinned to values recorded with the CIOS
+   Montgomery kernel: keygen runs Miller-Rabin chains, modular inverses
+   and the CRT precomputation, so a kernel that drifted anywhere would
+   move [n], [d] or the signature. *)
+let test_rsa_keygen_pinned () =
+  let key = Lazy.force shared_key in
+  check string_t "n"
+    "6f80f6abc02c5edaa2a6efc800642b5af334e4aad0c21bd7dfad90ee6524be1c\
+     06a3a494cb3f42d2af2a1a87f9ea6dbb0b2e11a1c8e684ab0d2de301e0e3f63b"
+    (Bignum.to_hex key.Rsa.pub.Rsa.n);
+  check string_t "d"
+    "695297ad83c865907f32d02b4ab353808559e0e4b86ba1813776eaff43ea80e7\
+     0eae44d7820e3b88f64b2d25e628344d9163462e9c45028898bcef918a7e4201"
+    (Bignum.to_hex key.Rsa.d);
+  check string_t "signature of pledge:42"
+    "53af8d7a417575823d73abfce0c4cfd23329b9c4fe21015723726b2a3eeae7ef\
+     ebe52d38abfa8a4dc2f4dd04cff907d66fbaf0c95443f769df15c50f6c3ee0f3"
+    (Hex.encode (Rsa.sign key "pledge:42"))
 
 let test_rsa_distinct_keys_dont_cross_verify () =
   let g = Prng.create ~seed:100L in
@@ -1002,6 +1160,7 @@ let () =
           prop_to_decimal_matches_seed;
           prop_of_bytes_ignores_leading_zeros;
           Alcotest.test_case "radix parsing details" `Quick test_radix_underscores;
+          Alcotest.test_case "to_int_opt bounds" `Quick test_bignum_to_int_opt_bounds;
         ] );
       ( "montgomery",
         [
@@ -1011,6 +1170,11 @@ let () =
           prop_mod_exp_even_modulus;
           Alcotest.test_case "context edge cases" `Quick test_mont_edges;
           Alcotest.test_case "e=65537 fast path" `Quick test_mont_e65537_fast_path;
+          prop_kernel_mul;
+          prop_kernel_sqr;
+          prop_kernel_exp;
+          Alcotest.test_case "limb bound" `Quick test_kernel_limb_bound;
+          prop_kernel_above_bound;
         ] );
       ( "miller-rabin",
         [
@@ -1032,6 +1196,8 @@ let () =
           Alcotest.test_case "keys do not cross-verify" `Quick
             test_rsa_distinct_keys_dont_cross_verify;
           prop_rsa_sign_verify;
+          Alcotest.test_case "keygen and signature pinned (512-bit)" `Quick
+            test_rsa_keygen_pinned;
         ] );
       ( "merkle",
         [
