@@ -903,7 +903,6 @@ let chaos_default_invariants =
     "no-false-accusation";
     "staleness";
     "write-spacing";
-    "alert-coverage";
   ]
 
 let read_schedule_file path =
@@ -1073,7 +1072,7 @@ let run_chaos topo work out config ~schedule_file ~intensity ~invariants ~counte
   in
   let violations =
     Invariant.check_shards checkers
-      (List.map (fun c -> Harness.result c ~scenario ~accepted:[]) (Array.to_list sim.attached))
+      (List.map (fun c -> Harness.result c ~scenario ~config ~accepted:[]) (Array.to_list sim.attached))
   in
   match violations with
   | [] ->

@@ -14,6 +14,7 @@ module Query = Secrep_store.Query
 module Oplog = Secrep_store.Oplog
 module Value = Secrep_store.Value
 module Canonical = Secrep_store.Canonical
+module Slo = Secrep_monitor.Slo
 
 type accepted_read = {
   time : float;
@@ -25,12 +26,14 @@ type accepted_read = {
 
 type run_result = {
   scenario : Scenario.t;
+  config : Config.t;
   events : Trace.record list;
   accepted : accepted_read list;
   end_time : float;
   pledges : Secrep_core.Pledge.t list;
   reexec : version:int -> Query.t -> string option;
   slave_public : int -> Secrep_crypto.Sig_scheme.public option;
+  slo : Slo.t Lazy.t;
 }
 
 let net_profile = function
@@ -92,13 +95,21 @@ let capture system =
   System.on_pledge_submitted system (fun p -> c.pledges_rev <- p :: c.pledges_rev);
   c
 
-let result c ~scenario ~accepted =
+let fold_slo config events ~end_time =
+  let slo = Slo.create ~config:(Slo.config config) () in
+  List.iter (Slo.observe slo) events;
+  Slo.finalize slo ~now:end_time;
+  slo
+
+let result c ~scenario ~config ~accepted =
   let system = c.system in
+  let events = List.rev c.events_rev and end_time = Sim.now (System.sim system) in
   {
     scenario;
-    events = List.rev c.events_rev;
+    config;
+    events;
     accepted;
-    end_time = Sim.now (System.sim system);
+    end_time;
     pledges = List.rev c.pledges_rev;
     reexec = (fun ~version query -> System.reexec_digest system ~version query);
     slave_public =
@@ -106,6 +117,7 @@ let result c ~scenario ~accepted =
         if slave_id >= 0 && slave_id < System.n_slaves system then
           Some (Secrep_core.Slave.public (System.slave system slave_id))
         else None);
+    slo = lazy (fold_slo config events ~end_time);
   }
 
 (* Worst case for one read to settle: (retry_limit + 2) timeouts plus
@@ -220,7 +232,7 @@ let execute s ~config ~systems ~load ~arm_chaos ~run_until =
           ops = List.filter (fun op -> op_key op mod k = i) s.Scenario.ops;
         }
       in
-      result captures.(i) ~scenario ~accepted:(List.rev accepted_rev.(i)))
+      result captures.(i) ~scenario ~config ~accepted:(List.rev accepted_rev.(i)))
 
 let run scenario =
   let s = Scenario.normalize scenario in

@@ -20,6 +20,7 @@ type accepted_read = {
 
 type run_result = {
   scenario : Scenario.t;  (** the normalized scenario that actually ran *)
+  config : Secrep_core.Config.t;  (** the protocol config it ran under *)
   events : Secrep_sim.Trace.record list;  (** complete stream, oldest first *)
   accepted : accepted_read list;  (** in completion order *)
   end_time : float;
@@ -31,7 +32,17 @@ type run_result = {
           history ({!Secrep_core.System.reexec_digest}) *)
   slave_public : int -> Secrep_crypto.Sig_scheme.public option;
       (** public keys of the run's slaves, for offline signature checks *)
+  slo : Secrep_monitor.Slo.t Lazy.t;
+      (** {!fold_slo} over [events]: the one monitor fold the
+          stream-judged invariants read.  Forced by the first checker
+          that needs it, on the domain that checks; a result copied
+          with another [events] needs a fresh fold. *)
 }
+
+val config_of_scenario : Scenario.t -> Secrep_core.Config.t
+(** The protocol config a scenario runs under: {!Secrep_core.Config.default}
+    with the scenario's latency bound, keep-alive period,
+    double-check probability and audit settings. *)
 
 val run : Scenario.t -> run_result
 (** Chaos windows from the scenario are armed via
@@ -68,8 +79,22 @@ val capture : Secrep_core.System.t -> capture
     delivered to its auditor.  Subscribe before the run starts: the
     trace ring may wrap, subscribers see everything. *)
 
-val result : capture -> scenario:Scenario.t -> accepted:accepted_read list -> run_result
-(** The run result for everything captured so far. *)
+val result :
+  capture ->
+  scenario:Scenario.t ->
+  config:Secrep_core.Config.t ->
+  accepted:accepted_read list ->
+  run_result
+(** The run result for everything captured so far; [config] is the
+    one the captured system runs under. *)
+
+val fold_slo :
+  Secrep_core.Config.t ->
+  Secrep_sim.Trace.record list ->
+  end_time:float ->
+  Secrep_monitor.Slo.t
+(** A fresh {!Secrep_monitor.Slo} with thresholds from [config], fed
+    the stream and finalized at [end_time]. *)
 
 val read_slack : Secrep_core.Config.t -> float
 (** Simulated time for one read to exhaust its worst-case retry ladder

@@ -6,7 +6,15 @@
     derives from the scenario itself (e.g. eventual detection needs
     the auditor on and a loss-free network, because a dropped
     client-to-auditor pledge forward legitimately loses the evidence);
-    when the precondition fails the checker passes vacuously. *)
+    when the precondition fails the checker passes vacuously.
+
+    The six stream-judged invariants (detection, no-false-accusation,
+    staleness, write-spacing, availability, recovery-convergence) do
+    not walk the stream themselves: they read the end-of-run
+    {!Secrep_monitor.Slo.findings} of the result's one SLO fold
+    ({!Harness.run_result.slo}), the same state that raises the
+    matching alerts, and apply the scenario's preconditions, its
+    faulty slaves and the oracle-labelled accepted reads. *)
 
 type checker = {
   name : string;
@@ -98,16 +106,6 @@ val parallel_determinism : checker
     rebalance decisions, auditor budgets — not just the merge order.
     Vacuous for single-shard scenarios (no deployment, nothing to
     parallelise). *)
-
-val alert_coverage : checker
-(** Cross-check between the fuzz invariants and the online monitor:
-    replays the run's event stream through an offline
-    {!Secrep_monitor.Slo} (thresholds derived from the scenario's own
-    config) and demands that every violated invariant with an online
-    counterpart ({!Secrep_monitor.Slo.rule_for_invariant}) is covered
-    by at least one raised alert of the matching rule.  An invariant
-    violation the monitor would have slept through is itself a
-    violation. *)
 
 val all : checker list
 

@@ -136,12 +136,28 @@ let endpoint_name = function
   | C i -> Printf.sprintf "c%d" i
   | A -> "aud"
 
-(* Long names for chaos trace events (the fuzz invariants parse these). *)
+(* Long names for chaos trace events; [node_of_name] parses them back. *)
 let node_name = function
   | M i -> Printf.sprintf "master-%d" i
   | S i -> Printf.sprintf "slave-%d" i
   | C i -> Printf.sprintf "client-%d" i
   | A -> "auditor"
+
+let node_of_name name =
+  match String.index_opt name '-' with
+  | None -> if name = "auditor" then Some A else None
+  | Some i -> (
+    let digits = String.sub name (i + 1) (String.length name - i - 1) in
+    let id =
+      if digits <> "" && String.for_all (fun c -> c >= '0' && c <= '9') digits then
+        int_of_string_opt digits
+      else None
+    in
+    match (String.sub name 0 i, id) with
+    | "master", Some n -> Some (M n)
+    | "slave", Some n -> Some (S n)
+    | "client", Some n -> Some (C n)
+    | _ -> None)
 
 let link t a b =
   match Hashtbl.find_opt t.links (a, b) with

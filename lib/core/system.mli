@@ -12,6 +12,18 @@ type net_profile = {
   loss : float;
 }
 
+type endpoint = M of int | S of int | C of int | A
+(** Master, slave and client ids, and the auditor. *)
+
+val node_name : endpoint -> string
+(** The name chaos trace events carry: ["master-3"], ["slave-0"],
+    ["client-2"], ["auditor"]. *)
+
+val node_of_name : string -> endpoint option
+(** Inverse of {!node_name} for replayed traces: the prefix, a dash and
+    decimal digits only, so ["slave-0x1"], ["slave-+3"] and ["slave--1"]
+    are [None]. *)
+
 val default_net : net_profile
 (** A 2003-flavoured WAN: ~40ms master<->master, ~10ms client<->slave
     (the "closest slave" of the setup phase), ~50ms client<->master. *)

@@ -29,7 +29,11 @@
     carries the outage duration); pulse rules decay after a quiet
     window.  Repeat violations while an alert is active update its
     [peak] instead of re-raising — burn-rate style, one alert per
-    outage. *)
+    outage.
+
+    The state of the staleness, availability, detection,
+    false-accusation, write-spacing and recovery rules also yields
+    end-of-run {!findings}, which the fuzz invariants judge runs by. *)
 
 type config = {
   max_latency : float;
@@ -53,12 +57,6 @@ val config : ?window:float -> Secrep_core.Config.t -> config
     defaults to [6 * max_latency]. *)
 
 val rule_names : string list
-
-val rule_for_invariant : string -> string option
-(** Map a fuzz-invariant name (see [Secrep_check.Invariant]) to the
-    SLO rule that should fire when it is violated; [None] for
-    invariants with no online counterpart (e.g. pledge-validity, which
-    needs ground truth the event stream does not carry). *)
 
 type alert = {
   rule : string;
@@ -86,6 +84,39 @@ val finalize : t -> now:float -> unit
 (** Final evaluation at end of run.  Lies never accused are raised as
     ["detection"] alerts regardless of age: the auditor gets no
     further chances.  Idempotent; [observe] is a no-op afterwards. *)
+
+type findings = {
+  stale_pledge : string option;
+      (** the first pledge verified OK for version [v] after
+          [commit(v+1) + max_latency], against the run's final commit
+          times (staleness) *)
+  close_writes : string option;
+      (** the first pair of one master's commits closer than
+          [max_latency] (write-spacing) *)
+  hung_reads : string option;
+      (** a client whose issued reads outnumber, or are outnumbered by,
+          its answered ones at end of run (availability) *)
+  accused : int list;
+      (** every slave convicted, excluded or caught by a double-check,
+          in order of first accusation (detection,
+          no-false-accusation) *)
+  unconverged : (int * string) list;
+      (** per slave, the first rejoin that did not reach the version
+          committed at its rejoin within [max_latency], in stream
+          order; rejoins overlapping another outage, a degraded
+          network, a master crash or an exclusion, or ending past the
+          run, are not judged (recovery-convergence) *)
+}
+(** End-of-run verdicts of the rules that serve the fuzz invariants in
+    [Secrep_check.Invariant], under the invariants' semantics.  The
+    stream is assumed to be a live trace: time-ordered, each master
+    committing increasing versions, and [finalize] called no earlier
+    than its last record.  Scenario
+    preconditions and ground truth (which slaves were faulty, which
+    accepted answers were wrong) are the invariants' to apply. *)
+
+val findings : t -> findings
+(** Raises [Invalid_argument] before {!finalize}. *)
 
 val alerts : t -> alert list
 (** Every alert ever raised, oldest first (includes cleared ones). *)

@@ -5,6 +5,8 @@
 
 open Secrep_check
 module Fault = Secrep_core.Fault
+module Trace = Secrep_sim.Trace
+module Event = Secrep_sim.Event
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -318,6 +320,95 @@ let test_all_invariants_batched () =
     | Error msg -> Alcotest.failf "batched run %d: %s" i msg
   done
 
+(* ---------------- Hand-built violating streams ---------------- *)
+
+(* One stream per stream-judged invariant that violates it: the
+   checker must name the violation, and the SLO rule that serves the
+   invariant must raise on the same stream. *)
+let hand_built ?(faults = []) ~end_time events =
+  let scenario =
+    {
+      (attack_scenario ~sys_seed:0 ~mode:Fault.Corrupt_result ()) with
+      Scenario.faults;
+      ops = [];
+    }
+  in
+  let config = Harness.config_of_scenario scenario in
+  let events = List.map (fun (time, event) -> { Trace.time; source = "test"; event }) events in
+  {
+    Harness.scenario;
+    config;
+    events;
+    accepted = [];
+    end_time;
+    pledges = [];
+    reexec = (fun ~version:_ _ -> None);
+    slave_public = (fun _ -> None);
+    slo = lazy (Harness.fold_slo config events ~end_time);
+  }
+
+(* The alert comes from the same fold the checker read. *)
+let raised rule (result : Harness.run_result) =
+  Secrep_monitor.Slo.was_raised (Lazy.force result.Harness.slo) rule
+
+let check_violation (c : Invariant.checker) ~rule ~message result =
+  (match c.Invariant.check result with
+  | Ok () -> Alcotest.failf "%s held on its violating stream" c.Invariant.name
+  | Error msg -> check string_t (c.Invariant.name ^ " message") message msg);
+  check bool_t (rule ^ " alert raised") true (raised rule result)
+
+let test_violation_staleness () =
+  check_violation Invariant.staleness ~rule:"staleness"
+    ~message:
+      "pledge for version 1 verified OK at t=3.500, more than max_latency=1 after version 2 \
+       committed at t=1.000"
+    (hand_built ~end_time:10.0
+       [
+         (1.0, Event.Write_committed { master = 0; version = 2 });
+         ( 3.5,
+           Event.Pledge_verified
+             { client = 0; request = 7; slave = 0; version = 1; ok = true; reason = "" } );
+       ])
+
+let test_violation_write_spacing () =
+  check_violation Invariant.write_spacing ~rule:"write-spacing"
+    ~message:
+      "master 0 committed version 1 at t=1.000 and version 2 at t=1.500, closer than \
+       max_latency=1"
+    (hand_built ~end_time:10.0
+       [
+         (1.0, Event.Write_committed { master = 0; version = 1 });
+         (1.5, Event.Write_committed { master = 0; version = 2 });
+       ])
+
+let test_violation_availability () =
+  check_violation Invariant.availability ~rule:"availability"
+    ~message:
+      "client 0 issued 1 read(s) but only 0 completed by t=100.000 — a read hung without \
+       being accepted, served by the master, or failed explicitly"
+    (hand_built ~end_time:100.0
+       [ (1.0, Event.Read_issued { client = 0; request = 1; mode = "single" }) ])
+
+let test_violation_recovery () =
+  check_violation Invariant.recovery_convergence ~rule:"recovery"
+    ~message:
+      "slave 0 rejoined at t=5.000 with version 1 but did not reach committed version 2 by \
+       t=6.000 (max_latency=1)"
+    (hand_built ~end_time:30.0
+       [
+         (1.0, Event.Write_committed { master = 0; version = 1 });
+         (2.5, Event.Write_committed { master = 0; version = 2 });
+         (3.0, Event.Node_crashed { node = "slave-0" });
+         (5.0, Event.Node_recovered { node = "slave-0"; version = 1 });
+       ])
+
+let test_violation_false_accusation () =
+  check_violation Invariant.no_false_accusation ~rule:"false-accusation"
+    ~message:
+      "slave 2 was accused (conviction, exclusion or double-check mismatch) in a run with no \
+       injected faults"
+    (hand_built ~end_time:10.0 [ (4.0, Event.Audit_conviction { slave = 2; version = 1 }) ])
+
 (* ---------------- Shrinking a real failure ---------------- *)
 
 (* A deliberately broken checker: it "fails" whenever any read is
@@ -418,6 +509,16 @@ let () =
           Alcotest.test_case "honest runs never accused" `Quick
             test_no_false_accusation_honest_runs;
           Alcotest.test_case "named lookup" `Quick test_invariant_named;
+        ] );
+      ( "violations",
+        [
+          Alcotest.test_case "stale accepted pledge" `Quick test_violation_staleness;
+          Alcotest.test_case "commits closer than max_latency" `Quick
+            test_violation_write_spacing;
+          Alcotest.test_case "hung read" `Quick test_violation_availability;
+          Alcotest.test_case "rejoin never catches up" `Quick test_violation_recovery;
+          Alcotest.test_case "accusation in an honest run" `Quick
+            test_violation_false_accusation;
         ] );
       ( "differential",
         [

@@ -1585,6 +1585,38 @@ let prop_eventual_detection =
          System.run_for system 240.0;
          Corrective.is_excluded (System.corrective system) ~slave_id:victim))
 
+(* Chaos node names are parsed back from replayed traces: only the
+   canonical prefix and decimal digits name a node. *)
+let test_node_names () =
+  let show = function
+    | Some (System.M i) -> Printf.sprintf "master %d" i
+    | Some (System.S i) -> Printf.sprintf "slave %d" i
+    | Some (System.C i) -> Printf.sprintf "client %d" i
+    | Some System.A -> "auditor"
+    | None -> "none"
+  in
+  List.iter
+    (fun (name, expected) -> check string_t name expected (show (System.node_of_name name)))
+    [
+      ("slave-0", "slave 0");
+      ("slave-12", "slave 12");
+      ("master-1", "master 1");
+      ("client-3", "client 3");
+      ("auditor", "auditor");
+      ("slave-0x1", "none");
+      ("slave-0b1", "none");
+      ("slave-1_0", "none");
+      ("slave--1", "none");
+      ("slave-+3", "none");
+      ("slave-", "none");
+      ("slave", "none");
+      ("replica-1", "none");
+    ];
+  List.iter
+    (fun node ->
+      check bool_t "round trip" true (System.node_of_name (System.node_name node) = Some node))
+    [ System.M 0; System.S 7; System.C 2; System.A ]
+
 let () =
   Alcotest.run "secrep_core"
     [
@@ -1598,6 +1630,7 @@ let () =
           Alcotest.test_case "self-certifying content id" `Quick test_content_identity;
           Alcotest.test_case "certificates" `Quick test_certificate_verify;
           Alcotest.test_case "directory" `Quick test_directory;
+          Alcotest.test_case "node names" `Quick test_node_names;
         ] );
       ( "keepalive",
         [

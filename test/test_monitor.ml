@@ -19,6 +19,8 @@ module Slo = Secrep_monitor.Slo
 module Lineage = Secrep_monitor.Lineage
 module Health = Secrep_monitor.Health
 module Invariant = Secrep_check.Invariant
+module Harness = Secrep_check.Harness
+module Scenario = Secrep_check.Scenario
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -365,41 +367,277 @@ let test_synthetic_read_latency_min_samples () =
   Slo.observe slo (read_answered ~time:2.0 ~request:20 100.0);
   check bool_t "the 20th raises" true (Slo.was_raised slo "read-latency")
 
-(* ---------------- invariant mapping ---------------- *)
+(* ---------------- one rule set: differential oracle ---------------- *)
 
-let test_rule_coverage_mapping () =
-  let expected =
-    [
-      ("detection", Some "detection");
-      ("no-false-accusation", Some "false-accusation");
-      ("staleness", Some "staleness");
-      ("write-spacing", Some "write-spacing");
-      ("pledge-validity", None);
-      ("availability", Some "availability");
-      ("recovery-convergence", Some "recovery");
-      ("differential-audit", None);
-      ("replay-rejection", None);
-      ("equivocation-detection", None);
-      ("adaptive-no-worse", None);
-      ("parallel-determinism", None);
-      ("alert-coverage", None);
-    ]
+(* The six stream-judged invariants now read the monitor's fold.  The
+   checkers and the monitor they replaced live on as oracles
+   ([Invariant_oracle], [Slo_oracle]); on every stream both must
+   return the same verdicts, the same message where the violation is
+   unique, the same alerts, and [alert_coverage] must pass exactly
+   when every violated invariant raised its rule's alert. *)
+
+let paired =
+  [
+    (Invariant.detection, Invariant_oracle.detection);
+    (Invariant.no_false_accusation, Invariant_oracle.no_false_accusation);
+    (Invariant.staleness, Invariant_oracle.staleness);
+    (Invariant.write_spacing, Invariant_oracle.write_spacing);
+    (Invariant.availability, Invariant_oracle.availability);
+    (Invariant.recovery_convergence, Invariant_oracle.recovery_convergence);
+  ]
+
+(* The oracle's write-spacing and availability report the first
+   violating master or client in hash-table order, so their messages
+   are compared only when a single master or client violates. *)
+let violators (result : Harness.run_result) =
+  let ml = result.Harness.scenario.Scenario.max_latency in
+  let last = Hashtbl.create 8 and close = Hashtbl.create 8 and reads = Hashtbl.create 8 in
+  let count client d =
+    let i, a = Option.value (Hashtbl.find_opt reads client) ~default:(0, 0) in
+    Hashtbl.replace reads client (if d then (i + 1, a) else (i, a + 1))
   in
-  (* the mapping table stays in lockstep with the checker registry *)
   List.iter
-    (fun (c : Invariant.checker) ->
-      match List.assoc_opt c.Invariant.name expected with
-      | None -> Alcotest.fail ("unmapped invariant " ^ c.Invariant.name)
-      | Some rule ->
-        check bool_t (c.Invariant.name ^ " maps as expected") true
-          (Slo.rule_for_invariant c.Invariant.name = rule);
-        (match rule with
-        | Some r ->
-          check bool_t (r ^ " is a known rule") true (List.mem r Slo.rule_names)
-        | None -> ()))
-    Invariant.all;
-  check int_t "mapping table covers every checker" (List.length Invariant.all)
-    (List.length expected)
+    (fun (r : Trace.record) ->
+      match r.Trace.event with
+      | Event.Write_committed { master; _ } ->
+        (match Hashtbl.find_opt last master with
+        | Some t when r.Trace.time -. t < ml -. 1e-6 -> Hashtbl.replace close master ()
+        | _ -> ());
+        Hashtbl.replace last master r.Trace.time
+      | Event.Read_issued { client; _ } -> count client true
+      | Event.Read_answered { client; _ } -> count client false
+      | _ -> ())
+    result.Harness.events;
+  function
+  | "write-spacing" -> Hashtbl.length close
+  | "availability" ->
+    Hashtbl.fold (fun _ (i, a) n -> if i > 0 && i <> a then n + 1 else n) reads 0
+  | _ -> 1
+
+let agrees_with_oracle (result : Harness.run_result) =
+  let slo = Lazy.force result.Harness.slo in
+  let oracle_slo = Slo_oracle.create ~config:(Slo_oracle.config result.Harness.config) () in
+  List.iter (Slo_oracle.observe oracle_slo) result.Harness.events;
+  Slo_oracle.finalize oracle_slo ~now:result.Harness.end_time;
+  let violators = violators result in
+  let verdicts =
+    List.map
+      (fun ((c : Invariant.checker), (o : Invariant_oracle.checker)) ->
+        let v = c.Invariant.check result and vo = o.Invariant_oracle.check result in
+        (match (v, vo) with
+        | Ok (), Ok () -> ()
+        | Error m, Error mo ->
+          if violators c.Invariant.name = 1 && m <> mo then
+            QCheck2.Test.fail_reportf "%s message: %S, oracle %S" c.Invariant.name m mo
+        | _ ->
+          QCheck2.Test.fail_reportf "%s verdict: %s, oracle %s" c.Invariant.name
+            (match v with Ok () -> "Ok" | Error m -> m)
+            (match vo with Ok () -> "Ok" | Error m -> m));
+        (c.Invariant.name, v))
+      paired
+  in
+  let render to_json alerts = List.map (fun a -> Export.Json.to_string (to_json a)) alerts in
+  let alerts = render Slo.json_of_alert (Slo.alerts slo)
+  and oracle_alerts = render Slo_oracle.json_of_alert (Slo_oracle.alerts oracle_slo) in
+  if alerts <> oracle_alerts then
+    QCheck2.Test.fail_reportf "alerts:\n%s\noracle:\n%s" (String.concat "\n" alerts)
+      (String.concat "\n" oracle_alerts);
+  let covered =
+    List.for_all
+      (fun (name, v) ->
+        match (v, Slo_oracle.rule_for_invariant name) with
+        | Error _, Some rule -> Slo.was_raised slo rule
+        | _ -> true)
+      verdicts
+  in
+  if (Invariant_oracle.alert_coverage.Invariant_oracle.check result = Ok ()) <> covered then
+    QCheck2.Test.fail_reportf "alert coverage disagrees (new: %b)" covered;
+  true
+
+(* Synthetic streams over a 2-master, 3-slave, 3-client topology.
+   Timestamps sit on a grid of max_latency / 2 steps, most exactly on
+   it and some an eps or so off, so commits, rejoins, deadlines and
+   outage edges often coincide or miss by eps; the stream is sorted by
+   time, keeping generation order among ties. *)
+type op =
+  | Commit of int
+  | Apply of int * int
+  | Signed of int * bool
+  | Verified of int * int * bool
+  | Read of int * bool * string * string
+  | Answer of int
+  | Accuse of int * int
+  | Crash of string
+  | Recover of int * int
+  | Cut of string * bool
+  | Degrade of float * float
+  | Audit of int
+  | Overload
+  | Breaker of int
+  | Quarantine of int
+
+let slave_name s = Printf.sprintf "slave-%d" s
+
+let gen_synthetic =
+  let open QCheck2.Gen in
+  let* ml = oneofl [ 1.0; 5.0 ] in
+  let eps = 1e-6 in
+  let time =
+    map2
+      (fun k d -> Float.max 0.0 ((float_of_int k *. ml /. 2.0) +. d))
+      (int_bound 10)
+      (frequency
+         [ (4, pure 0.0); (3, oneofl [ -.eps; -.eps /. 2.0; eps /. 2.0; eps; 2.0 *. eps ]) ])
+  in
+  let slave = int_bound 2 and version = int_bound 6 in
+  let node =
+    frequency
+      [ (4, map slave_name slave); (2, map (Printf.sprintf "master-%d") (int_bound 1)); (1, pure "client-0") ]
+  in
+  let op =
+    frequency
+      [
+        (4, map (fun m -> Commit m) (int_bound 1));
+        (4, map2 (fun s v -> Apply (s, v)) slave version);
+        (1, map2 (fun s l -> Signed (s, l)) slave bool);
+        (3, map3 (fun s v ok -> Verified (s, v, ok)) slave version bool);
+        ( 4,
+          map2
+            (fun (c, answered) (mode, outcome) -> Read (c, answered, mode, outcome))
+            (pair (int_bound 2) (frequency [ (9, pure true); (1, pure false) ]))
+            (pair (oneofl [ "single"; "sensitive" ]) (oneofl [ "accepted"; "gave-up"; "by-master" ])) );
+        (1, map (fun c -> Answer c) (int_bound 2));
+        (2, map2 (fun s k -> Accuse (s, k)) slave (int_bound 2));
+        (2, map (fun n -> Crash n) node);
+        (4, map2 (fun s v -> Recover (s, v)) slave version);
+        (3, map2 (fun n up -> Cut (n, up)) node bool);
+        (2, map2 (fun l f -> Degrade (l, f)) (oneofl [ 0.0; 0.2 ]) (oneofl [ 1.0; 3.0 ]));
+        (1, map (fun v -> Audit v) version);
+        (1, pure Overload);
+        (1, map (fun c -> Breaker c) (int_bound 2));
+        (1, map (fun s -> Quarantine s) slave);
+      ]
+  in
+  let* steps = list_size (int_range 0 60) (pair time op) in
+  let steps = List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) steps in
+  let* tail = frequency [ (1, pure 0.0); (3, map (fun f -> f *. 3.0 *. ml) (float_bound_inclusive 1.0)) ] in
+  let* audit = bool in
+  let* net = frequency [ (4, pure Scenario.Lan); (1, pure (Scenario.Lossy 0.1)) ] in
+  let* chaos = frequency [ (4, pure false); (1, pure true) ] in
+  let* faulty = list_size (int_bound 2) slave in
+  let* wrong = list_size (int_bound 3) (pair slave bool) in
+  return (ml, steps, tail, audit, net, chaos, faulty, wrong)
+
+let result_of_synthetic (ml, steps, tail, audit, net, chaos, faulty, wrong) =
+  let scenario =
+    {
+      Scenario.sys_seed = 0;
+      n_shards = 1;
+      n_masters = 2;
+      slaves_per_master = 2;
+      n_clients = 3;
+      n_items = 4;
+      max_latency = ml;
+      keepalive_period = 0.3 *. ml;
+      double_check_p = 0.05;
+      audit;
+      pledge_batch = 1;
+      read_nonces = false;
+      audit_adaptive = false;
+      net;
+      faults =
+        List.map
+          (fun slave ->
+            { Scenario.slave; mode = Fault.Corrupt_result; probability = 1.0; from_time = 0.0 })
+          faulty;
+      chaos = (if chaos then [ Scenario.Auditor_cut { from_time = 1.0; outage = 1.0 } ] else []);
+      ops = [];
+    }
+  in
+  let config = Harness.config_of_scenario scenario in
+  let now = ref 0.0 and next_version = [| 0; 0 |] and request = ref 0 in
+  let events = ref [] in
+  let emit event = events := { Trace.time = !now; source = "test"; event } :: !events in
+  List.iter
+    (fun (time, op) ->
+      now := time;
+      match op with
+      | Commit master ->
+        next_version.(master) <- next_version.(master) + 1;
+        emit (Event.Write_committed { master; version = next_version.(master) })
+      | Apply (slave, v) ->
+        emit (Event.State_update_applied { slave; from_version = 0; to_version = v })
+      | Signed (slave, lied) ->
+        emit (Event.Pledge_signed { slave; request = !request; version = 0; lied })
+      | Verified (slave, version, ok) ->
+        emit
+          (Event.Pledge_verified
+             { client = slave mod 3; request = !request; slave; version; ok; reason = "" })
+      | Read (client, answered, mode, outcome) ->
+        incr request;
+        emit (Event.Read_issued { client; request = !request; mode });
+        if answered then
+          emit
+            (Event.Read_answered
+               { client; request = !request; slave = 0; outcome; version = 0; latency = 0.01 })
+      | Answer client ->
+        emit
+          (Event.Read_answered
+             { client; request = -1; slave = 0; outcome = "accepted"; version = 0; latency = 0.01 })
+      | Accuse (slave, 0) -> emit (Event.Audit_conviction { slave; version = 0 })
+      | Accuse (slave, 1) -> emit (Event.Slave_excluded { slave; immediate = false })
+      | Accuse (slave, _) ->
+        emit (Event.Double_check { client = 0; request = !request; slave; outcome = Event.Mismatch })
+      | Crash node -> emit (Event.Node_crashed { node })
+      | Recover (slave, version) ->
+        emit (Event.Node_recovered { node = slave_name slave; version })
+      | Cut (target, up) -> emit (Event.Partition { target; up })
+      | Degrade (loss, latency_factor) -> emit (Event.Net_degraded { loss; latency_factor })
+      | Audit version -> emit (Event.Audit_advance { version })
+      | Overload -> emit (Event.Audit_overload { backlog = 64 })
+      | Breaker client -> emit (Event.Breaker_opened { client; slave = 0 })
+      | Quarantine slave ->
+        emit (Event.Slave_quarantined { slave; score = 4.0; until = !now +. ml }))
+    steps;
+  let events = List.rev !events and end_time = !now +. tail in
+  {
+    Harness.scenario;
+    config;
+    events;
+    accepted =
+      List.mapi
+        (fun i (slave, wrong) ->
+          { Harness.time = float_of_int i; client = 0; slave; version = 1; wrong })
+        wrong;
+    end_time;
+    pledges = [];
+    reexec = (fun ~version:_ _ -> None);
+    slave_public = (fun _ -> None);
+    slo = lazy (Harness.fold_slo config events ~end_time);
+  }
+
+let print_synthetic case =
+  let r = result_of_synthetic case in
+  String.concat "\n"
+    (Printf.sprintf "end %.7f; %s" r.Harness.end_time (Scenario.to_string r.Harness.scenario)
+    :: List.map
+         (fun (e : Trace.record) -> Printf.sprintf "%.7f %s" e.Trace.time (Event.to_string e.Trace.event))
+         r.Harness.events)
+
+let oracle_synthetic_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:5000 ~name:"oracle: synthetic streams"
+       ~print:print_synthetic gen_synthetic (fun case ->
+         agrees_with_oracle (result_of_synthetic case)))
+
+(* Generated harness scenarios, with faults, chaos, lossy nets and
+   shards: every shard's result is compared. *)
+let oracle_harness_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:120 ~name:"oracle: harness scenarios"
+       ~print:string_of_int (QCheck2.Gen.int_bound 1_000_000) (fun seed ->
+         List.for_all agrees_with_oracle
+           (Harness.run_sharded (Secrep_check.Gen.run ~seed:(Int64.of_int seed) Scenario.gen))))
 
 (* ---------------- E1 agreement ---------------- *)
 
@@ -506,6 +744,5 @@ let () =
             test_lineage_attack_detection;
           Alcotest.test_case "agrees with E1" `Quick test_e1_agreement;
         ] );
-      ( "coverage",
-        [ Alcotest.test_case "invariant-to-rule mapping" `Quick test_rule_coverage_mapping ] );
+      ("coverage", [ oracle_synthetic_prop; oracle_harness_prop ]);
     ]
