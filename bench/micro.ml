@@ -11,6 +11,10 @@ module Store = Secrep_store
 let data_64 = String.make 64 'a'
 let data_1k = String.make 1024 'b'
 let data_64k = String.make 65536 'c'
+let data_2k = String.make 2048 'd'
+
+(* 300 bytes: about the size of an HMAC pledge payload. *)
+let data_300 = String.make 300 'e'
 
 let rsa_key =
   lazy
@@ -39,6 +43,20 @@ let grep_query = Store.Query.grep "deluxe"
 
 let agg_query =
   Store.Query.Aggregate { from = Store.Query.All; where = Store.Query.True; agg = Store.Query.Sum "price" }
+
+(* A Rows result of about 1.9 kB canonical encoding, the size of a
+   range read on the default workloads. *)
+let range_query =
+  Store.Query.Select
+    {
+      from = Store.Query.Key_range { lo = "product:00100"; hi = "product:00110" };
+      where = Store.Query.True;
+      project = None;
+      limit = None;
+    }
+
+let range_result =
+  lazy (Store.Query_eval.execute_exn (Lazy.force fixture_store) range_query).Store.Query_eval.result
 
 let regex = lazy (Store.Regex.compile "model [0-9]+")
 
@@ -73,7 +91,13 @@ let tests =
     Test.make ~name:"sha1/64B" (Staged.stage (fun () -> Crypto.Sha1.digest data_64));
     Test.make ~name:"sha1/1KiB" (Staged.stage (fun () -> Crypto.Sha1.digest data_1k));
     Test.make ~name:"sha1/64KiB" (Staged.stage (fun () -> Crypto.Sha1.digest data_64k));
+    Test.make ~name:"sha1/2KiB" (Staged.stage (fun () -> Crypto.Sha1.digest data_2k));
     Test.make ~name:"sha256/1KiB" (Staged.stage (fun () -> Crypto.Sha256.digest data_1k));
+    Test.make ~name:"sha256/300B" (Staged.stage (fun () -> Crypto.Sha256.digest data_300));
+    Test.make ~name:"canonical/result_digest-range"
+      (Staged.stage (fun () -> Store.Canonical.result_digest (Lazy.force range_result)));
+    Test.make ~name:"canonical/of_query"
+      (Staged.stage (fun () -> Store.Canonical.of_query range_query));
     Test.make ~name:"hmac-sha256/64B"
       (Staged.stage (fun () -> Crypto.Hmac.mac ~hash:Crypto.Hmac.Sha256 ~key:"k" data_64));
     Test.make ~name:"rsa512/sign"

@@ -288,14 +288,16 @@ let handle_read t ~client ~request ~query ~reply =
         && keepalive.Keepalive.version = Store.version t.store
       in
       let nonce = if t.config.Config.read_nonces then request else 0 in
-      let qdigest = Secrep_crypto.Hex.encode (Canonical.query_digest query) in
+      (* Only a lying slave reads the query digest (near-miss sensing
+         and [last_lie]), so an honest one never computes it. *)
+      let qdigest = lazy (Secrep_crypto.Hex.encode (Canonical.query_digest query)) in
       (* Near-miss sensing: the client we just lied to re-asking the
          same query within the freshness window means a verification or
          double-check went against us.  An [Adaptive] attacker reacts
          by going quiet. *)
       (match (t.behavior, t.last_lie) with
       | Fault.Malicious { mode = Fault.Adaptive _; _ }, Some (c, qd, tl)
-        when c = client && qd = qdigest
+        when c = client && qd = Lazy.force qdigest
              && now -. tl <= 2.0 *. t.config.Config.max_latency ->
         Fault.note_near_miss t.attack ~now ~cooldown:(2.0 *. t.config.Config.max_latency);
         Fault.bump_pressure t.attack ~now ~amount:0.5;
@@ -326,7 +328,7 @@ let handle_read t ~client ~request ~query ~reply =
         emit t
           (Event.Attack_launched
              { slave = t.id; mode = behavior_mode_name; client; request });
-        t.last_lie <- Some (client, qdigest, now);
+        t.last_lie <- Some (client, Lazy.force qdigest, now);
         reply (Some { result = r_result; pledge = r_pledge })
       | None ->
       (* Map the strategic modes onto the concrete lie machinery: the
@@ -349,7 +351,7 @@ let handle_read t ~client ~request ~query ~reply =
         emit t
           (Event.Attack_launched
              { slave = t.id; mode = behavior_mode_name; client; request });
-        t.last_lie <- Some (client, qdigest, now)
+        t.last_lie <- Some (client, Lazy.force qdigest, now)
       end;
       let stock_ammo =
         (* honest read served by a replay attacker: remember the reply *)

@@ -1,5 +1,8 @@
-(* SHA-256 over native ints masked to 32 bits, mirroring the structure of
-   Sha1 (64-byte staging buffer, reusable message schedule). *)
+(* SHA-256 over native ints masked to 32 bits, with the structure of
+   Sha1: full blocks are compressed straight from the caller's string,
+   a partial block is staged in the context, and the 64-word message
+   schedule is per-domain scratch, so [init] and [copy] allocate only
+   the record and its staging block (safe while no systhreads run). *)
 
 let digest_size = 32
 let m32 = 0xFFFFFFFF
@@ -20,102 +23,124 @@ let k =
   |]
 
 type ctx = {
-  h : int array; (* 8 chaining words *)
-  block : bytes;
+  mutable h0 : int;
+  mutable h1 : int;
+  mutable h2 : int;
+  mutable h3 : int;
+  mutable h4 : int;
+  mutable h5 : int;
+  mutable h6 : int;
+  mutable h7 : int;
+  block : bytes; (* 64-byte staging buffer for a partial block *)
   mutable fill : int;
   mutable total : int;
-  w : int array; (* 64-entry message schedule *)
 }
 
 let init () =
   {
-    h =
-      [|
-        0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
-        0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19;
-      |];
+    h0 = 0x6a09e667;
+    h1 = 0xbb67ae85;
+    h2 = 0x3c6ef372;
+    h3 = 0xa54ff53a;
+    h4 = 0x510e527f;
+    h5 = 0x9b05688c;
+    h6 = 0x1f83d9ab;
+    h7 = 0x5be0cd19;
     block = Bytes.create 64;
     fill = 0;
     total = 0;
-    w = Array.make 64 0;
   }
 
 let copy ctx =
-  {
-    h = Array.copy ctx.h;
-    block = Bytes.copy ctx.block;
-    fill = ctx.fill;
-    total = ctx.total;
-    w = Array.make 64 0;
-  }
+  let block = Bytes.create 64 in
+  Bytes.blit ctx.block 0 block 0 ctx.fill;
+  { ctx with block }
+
+let schedule = Domain.DLS.new_key (fun () -> Array.make 64 0)
+
+external get32u : string -> int -> int32 = "%caml_string_get32u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
+let load_be s off =
+  let v = if Sys.big_endian then get32u s off else bswap32 (get32u s off) in
+  Int32.to_int v land m32
 
 let rotr32 x n = ((x lsr n) lor (x lsl (32 - n))) land m32
 
-let compress ctx =
-  let b = ctx.block and w = ctx.w and h = ctx.h in
+let compress ctx src off =
+  let w = Domain.DLS.get schedule in
   for t = 0 to 15 do
-    w.(t) <-
-      (Char.code (Bytes.get b (4 * t)) lsl 24)
-      lor (Char.code (Bytes.get b ((4 * t) + 1)) lsl 16)
-      lor (Char.code (Bytes.get b ((4 * t) + 2)) lsl 8)
-      lor Char.code (Bytes.get b ((4 * t) + 3))
+    Array.unsafe_set w t (load_be src (off + (4 * t)))
   done;
   for t = 16 to 63 do
-    let s0 = rotr32 w.(t - 15) 7 lxor rotr32 w.(t - 15) 18 lxor (w.(t - 15) lsr 3) in
-    let s1 = rotr32 w.(t - 2) 17 lxor rotr32 w.(t - 2) 19 lxor (w.(t - 2) lsr 10) in
-    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land m32
+    let w15 = Array.unsafe_get w (t - 15) and w2 = Array.unsafe_get w (t - 2) in
+    let s0 = rotr32 w15 7 lxor rotr32 w15 18 lxor (w15 lsr 3) in
+    let s1 = rotr32 w2 17 lxor rotr32 w2 19 lxor (w2 lsr 10) in
+    Array.unsafe_set w t
+      ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1) land m32)
   done;
-  let a = ref h.(0)
-  and bb = ref h.(1)
-  and c = ref h.(2)
-  and d = ref h.(3)
-  and e = ref h.(4)
-  and f = ref h.(5)
-  and g = ref h.(6)
-  and hh = ref h.(7) in
+  let a = ref ctx.h0
+  and b = ref ctx.h1
+  and c = ref ctx.h2
+  and d = ref ctx.h3
+  and e = ref ctx.h4
+  and f = ref ctx.h5
+  and g = ref ctx.h6
+  and h = ref ctx.h7 in
   for t = 0 to 63 do
     let s1 = rotr32 !e 6 lxor rotr32 !e 11 lxor rotr32 !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) land m32 in
-    let t1 = (!hh + s1 + (ch land m32) + k.(t) + ctx.w.(t)) land m32 in
+    let ch = !g lxor (!e land (!f lxor !g)) in
+    let t1 = !h + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t in
     let s0 = rotr32 !a 2 lxor rotr32 !a 13 lxor rotr32 !a 22 in
-    let maj = (!a land !bb) lxor (!a land !c) lxor (!bb land !c) in
-    let t2 = (s0 + maj) land m32 in
-    hh := !g;
+    let maj = (!a land !b) lor (!c land (!a lor !b)) in
+    h := !g;
     g := !f;
     f := !e;
     e := (!d + t1) land m32;
     d := !c;
-    c := !bb;
-    bb := !a;
-    a := (t1 + t2) land m32
+    c := !b;
+    b := !a;
+    a := (t1 + s0 + maj) land m32
   done;
-  h.(0) <- (h.(0) + !a) land m32;
-  h.(1) <- (h.(1) + !bb) land m32;
-  h.(2) <- (h.(2) + !c) land m32;
-  h.(3) <- (h.(3) + !d) land m32;
-  h.(4) <- (h.(4) + !e) land m32;
-  h.(5) <- (h.(5) + !f) land m32;
-  h.(6) <- (h.(6) + !g) land m32;
-  h.(7) <- (h.(7) + !hh) land m32
+  ctx.h0 <- (ctx.h0 + !a) land m32;
+  ctx.h1 <- (ctx.h1 + !b) land m32;
+  ctx.h2 <- (ctx.h2 + !c) land m32;
+  ctx.h3 <- (ctx.h3 + !d) land m32;
+  ctx.h4 <- (ctx.h4 + !e) land m32;
+  ctx.h5 <- (ctx.h5 + !f) land m32;
+  ctx.h6 <- (ctx.h6 + !g) land m32;
+  ctx.h7 <- (ctx.h7 + !h) land m32
 
-let feed_bytes ctx src ~off ~len =
-  if off < 0 || len < 0 || off + len > Bytes.length src then invalid_arg "Sha256.feed_bytes";
+let compress_block ctx =
+  compress ctx (Bytes.unsafe_to_string ctx.block) 0;
+  ctx.fill <- 0
+
+let add_substring ctx s off len =
   ctx.total <- ctx.total + len;
   let pos = ref off and remaining = ref len in
-  while !remaining > 0 do
-    let space = 64 - ctx.fill in
-    let chunk = min space !remaining in
-    Bytes.blit src !pos ctx.block ctx.fill chunk;
+  if ctx.fill > 0 then begin
+    let chunk = min (64 - ctx.fill) len in
+    Bytes.blit_string s off ctx.block ctx.fill chunk;
     ctx.fill <- ctx.fill + chunk;
-    pos := !pos + chunk;
-    remaining := !remaining - chunk;
-    if ctx.fill = 64 then begin
-      compress ctx;
-      ctx.fill <- 0
-    end
-  done
+    pos := off + chunk;
+    remaining := len - chunk;
+    if ctx.fill = 64 then compress_block ctx
+  end;
+  while !remaining >= 64 do
+    compress ctx s !pos;
+    pos := !pos + 64;
+    remaining := !remaining - 64
+  done;
+  if !remaining > 0 then begin
+    Bytes.blit_string s !pos ctx.block 0 !remaining;
+    ctx.fill <- !remaining
+  end
 
-let feed ctx s = feed_bytes ctx (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
+let feed ctx s = add_substring ctx s 0 (String.length s)
+
+let feed_bytes ctx src ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length src - len then invalid_arg "Sha256.feed_bytes";
+  add_substring ctx (Bytes.unsafe_to_string src) off len
 
 let finalize ctx =
   let total_bits = ctx.total * 8 in
@@ -123,22 +148,22 @@ let finalize ctx =
   ctx.fill <- ctx.fill + 1;
   if ctx.fill > 56 then begin
     Bytes.fill ctx.block ctx.fill (64 - ctx.fill) '\000';
-    compress ctx;
-    ctx.fill <- 0
+    compress_block ctx
   end;
   Bytes.fill ctx.block ctx.fill (64 - ctx.fill) '\000';
   for i = 0 to 7 do
     Bytes.set ctx.block (56 + i) (Char.chr ((total_bits lsr (8 * (7 - i))) land 0xff))
   done;
-  compress ctx;
+  compress_block ctx;
   let out = Bytes.create digest_size in
-  for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xff))
-  done;
+  Bytes.set_int32_be out 0 (Int32.of_int ctx.h0);
+  Bytes.set_int32_be out 4 (Int32.of_int ctx.h1);
+  Bytes.set_int32_be out 8 (Int32.of_int ctx.h2);
+  Bytes.set_int32_be out 12 (Int32.of_int ctx.h3);
+  Bytes.set_int32_be out 16 (Int32.of_int ctx.h4);
+  Bytes.set_int32_be out 20 (Int32.of_int ctx.h5);
+  Bytes.set_int32_be out 24 (Int32.of_int ctx.h6);
+  Bytes.set_int32_be out 28 (Int32.of_int ctx.h7);
   Bytes.unsafe_to_string out
 
 let digest s =

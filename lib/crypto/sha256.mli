@@ -9,7 +9,7 @@ val init : unit -> ctx
 val copy : ctx -> ctx
 (** Independent snapshot of a context mid-stream; feeding either copy
     afterwards does not affect the other.  Lets HMAC precompute the
-    padded-key block once per key. *)
+    padded-key block once per key.  Allocates only the new context. *)
 
 val feed : ctx -> string -> unit
 val feed_bytes : ctx -> bytes -> off:int -> len:int -> unit

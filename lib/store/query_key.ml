@@ -4,5 +4,5 @@
    cannot silently diverge the two. *)
 
 let of_query = Canonical.of_query
-let digest q = Secrep_crypto.Sha1.digest (of_query q)
+let digest = Canonical.query_digest
 let versioned ~version q = (version, of_query q)

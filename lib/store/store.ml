@@ -95,13 +95,16 @@ let of_bytes s =
       { docs = !docs; version })
 
 let content_hash t =
-  let ctx = Secrep_crypto.Sha1.init () in
-  Secrep_crypto.Sha1.feed ctx (Printf.sprintf "v%d;" t.version);
+  let module Sha1 = Secrep_crypto.Sha1 in
+  let ctx = Sha1.init () in
+  Sha1.add_char ctx 'v';
+  Canonical.feed_decimal ctx t.version;
+  Sha1.add_char ctx ';';
   Key_map.iter
     (fun key doc ->
-      Secrep_crypto.Sha1.feed ctx key;
-      Secrep_crypto.Sha1.feed ctx "=";
-      Secrep_crypto.Sha1.feed ctx (Canonical.of_document doc);
-      Secrep_crypto.Sha1.feed ctx ";")
+      Sha1.feed ctx key;
+      Sha1.add_char ctx '=';
+      Canonical.feed_document ctx doc;
+      Sha1.add_char ctx ';')
     t.docs;
-  Secrep_crypto.Sha1.finalize ctx
+  Sha1.finalize ctx

@@ -101,6 +101,155 @@ let prop_sha256_incremental =
       go 0;
       String.equal (Sha256.finalize ctx) (Sha256.digest msg))
 
+(* ---------------- SHA kernels vs the replaced kernels ---------------- *)
+
+(* The SHA-1 and SHA-256 kernels compress full blocks straight from the
+   caller's string and share a per-domain schedule; the kernels they
+   replaced survive in [Sha1_oracle]/[Sha256_oracle].  Each case feeds a
+   message through a random plan of operations and compares every digest
+   with the oracle's digest of the same bytes. *)
+
+type 'ctx hasher = {
+  init : unit -> 'ctx;
+  copy : 'ctx -> 'ctx;
+  feed : 'ctx -> string -> unit;
+  feed_bytes : 'ctx -> bytes -> off:int -> len:int -> unit;
+  add_char : 'ctx -> char -> unit;
+  add_substring : 'ctx -> string -> int -> int -> unit;
+  finalize : 'ctx -> string;
+  oracle : string -> string;
+}
+
+let sha1_hasher =
+  {
+    init = Sha1.init;
+    copy = Sha1.copy;
+    feed = Sha1.feed;
+    feed_bytes = Sha1.feed_bytes;
+    add_char = Sha1.add_char;
+    add_substring = Sha1.add_substring;
+    finalize = Sha1.finalize;
+    oracle = Sha1_oracle.digest;
+  }
+
+(* SHA-256 has no sink operations; its plans use [feed] for those steps. *)
+let sha256_hasher =
+  {
+    init = Sha256.init;
+    copy = Sha256.copy;
+    feed = Sha256.feed;
+    feed_bytes = Sha256.feed_bytes;
+    add_char = (fun ctx c -> Sha256.feed ctx (String.make 1 c));
+    add_substring = (fun ctx s off len -> Sha256.feed ctx (String.sub s off len));
+    finalize = Sha256.finalize;
+    oracle = Sha256_oracle.digest;
+  }
+
+type step =
+  | Feed of int
+  | Feed_bytes of int * int (* length, nonzero offset into a padded buffer *)
+  | Add_chars of int
+  | Add_substring of int * int (* length, nonzero offset *)
+  | Copy (* fork mid-stream; the original then takes a divergent suffix *)
+
+(* Lengths 0-10 kB, and lengths on every padding edge (55, 56, 63, 64,
+   119, 120 mod 64) across the first few dozen blocks. *)
+let gen_message =
+  QCheck2.Gen.(
+    let* len =
+      oneof
+        [
+          int_bound 10_240;
+          map2 (fun k e -> (64 * k) + e) (int_bound 40) (oneofl [ 55; 56; 63; 64; 119; 120 ]);
+        ]
+    in
+    string_size ~gen:char (return len))
+
+let gen_plan =
+  QCheck2.Gen.(
+    list_size (int_bound 12)
+      (oneof
+         [
+           map (fun n -> Feed n) (int_bound 200);
+           map2 (fun n off -> Feed_bytes (n, off + 1)) (int_bound 200) (int_bound 9);
+           map (fun n -> Add_chars n) (int_bound 70);
+           map2 (fun n off -> Add_substring (n, off + 1)) (int_bound 200) (int_bound 9);
+           return Copy;
+         ]))
+
+let padded off piece = String.make off '\xa5' ^ piece ^ "\x5a\x5a"
+
+let run_plan h msg plan =
+  let n = String.length msg in
+  let ctx = ref (h.init ()) and pos = ref 0 and ok = ref true in
+  let forks = ref [] in
+  let take len =
+    let len = min len (n - !pos) in
+    let piece = String.sub msg !pos len in
+    pos := !pos + len;
+    piece
+  in
+  List.iter
+    (function
+      | Feed len -> h.feed !ctx (take len)
+      | Feed_bytes (len, off) ->
+        let piece = take len in
+        h.feed_bytes !ctx
+          (Bytes.of_string (padded off piece))
+          ~off ~len:(String.length piece)
+      | Add_chars len -> String.iter (h.add_char !ctx) (take len)
+      | Add_substring (len, off) ->
+        let piece = take len in
+        h.add_substring !ctx (padded off piece) off (String.length piece)
+      | Copy ->
+        (* The fork carries on with the message; the original is fed a
+           suffix right away but finalized only at the end, so a shared
+           buffer would corrupt one side or the other. *)
+        let original = !ctx in
+        ctx := h.copy original;
+        let suffix = Printf.sprintf "fork@%d" !pos in
+        h.feed original suffix;
+        forks := (original, String.sub msg 0 !pos ^ suffix) :: !forks)
+    plan;
+  h.feed !ctx (String.sub msg !pos (n - !pos));
+  if not (String.equal (h.finalize !ctx) (h.oracle msg)) then ok := false;
+  List.iter
+    (fun (fork, bytes) -> if not (String.equal (h.finalize fork) (h.oracle bytes)) then ok := false)
+    !forks;
+  !ok
+
+let prop_kernel_vs_oracle name h =
+  qtest ~count:300 (name ^ ": streamed digest equals the replaced kernel")
+    QCheck2.Gen.(pair gen_message gen_plan)
+    (fun (msg, plan) -> run_plan h msg plan)
+
+let test_sha_oracle_edges () =
+  (* Every length 0..200 in one call and one byte at a time. *)
+  for n = 0 to 200 do
+    let msg = String.init n (fun i -> Char.chr ((i * 7) land 0xff)) in
+    check string_t (Printf.sprintf "sha1 %d bytes" n)
+      (Hex.encode (Sha1_oracle.digest msg)) (Hex.encode (Sha1.digest msg));
+    check string_t (Printf.sprintf "sha256 %d bytes" n)
+      (Hex.encode (Sha256_oracle.digest msg)) (Hex.encode (Sha256.digest msg));
+    check bool_t (Printf.sprintf "sha1 %d add_char" n) true
+      (run_plan sha1_hasher msg [ Add_chars n ])
+  done
+
+let test_sha1_add_substring_bounds () =
+  let ctx = Sha1.init () in
+  List.iter
+    (fun (off, len) ->
+      check bool_t (Printf.sprintf "off %d len %d rejected" off len) true
+        (try
+           Sha1.add_substring ctx "abcd" off len;
+           false
+         with Invalid_argument _ -> true))
+    [ (-1, 1); (0, -1); (0, 5); (3, 2); (5, 0); (max_int, 1) ];
+  Sha1.add_substring ctx "abcd" 4 0;
+  Sha1.add_substring ctx "abcd" 1 2;
+  check string_t "in-range calls feed exactly the range" (Sha1.hex_digest "bc")
+    (Hex.encode (Sha1.finalize ctx))
+
 (* ---------------- HMAC ---------------- *)
 
 let test_hmac_rfc4231_case1 () =
@@ -1107,6 +1256,13 @@ let () =
           Alcotest.test_case "FIPS vectors" `Quick test_sha256_vectors;
           Alcotest.test_case "digest length" `Quick test_sha256_length;
           prop_sha256_incremental;
+        ] );
+      ( "sha-oracle",
+        [
+          prop_kernel_vs_oracle "sha1" sha1_hasher;
+          prop_kernel_vs_oracle "sha256" sha256_hasher;
+          Alcotest.test_case "every length to 200 bytes" `Quick test_sha_oracle_edges;
+          Alcotest.test_case "sha1 add_substring bounds" `Quick test_sha1_add_substring_bounds;
         ] );
       ( "hmac",
         [

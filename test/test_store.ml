@@ -737,40 +737,58 @@ let test_canonical_distinguishes () =
         (String.equal (Canonical.of_result a) (Canonical.of_result b)))
     pairs
 
+(* One query of every syntactic form. *)
+let query_forms =
+  [
+    Query.point_read "k";
+    Query.Select { from = Query.Key "k"; where = Query.True; project = Some []; limit = None };
+    Query.Select { from = Query.Key "k"; where = Query.True; project = None; limit = Some 0 };
+    Query.Select { from = Query.Prefix "k"; where = Query.True; project = None; limit = None };
+    Query.Select
+      { from = Query.Key_range { lo = "k"; hi = "k" }; where = Query.True; project = None; limit = None };
+    Query.Select { from = Query.All; where = Query.True; project = None; limit = None };
+    Query.Select
+      { from = Query.All; where = Query.Has_field "k"; project = None; limit = None };
+    Query.Select
+      { from = Query.All; where = Query.Field_equals ("k", Value.Null); project = None; limit = None };
+    Query.Select
+      { from = Query.All; where = Query.Not Query.True; project = None; limit = None };
+    Query.Select
+      { from = Query.All; where = Query.And (Query.True, Query.True); project = None; limit = None };
+    Query.Select
+      { from = Query.All; where = Query.Or (Query.True, Query.True); project = None; limit = None };
+    Query.grep "k";
+    Query.grep ~under:"k" "k";
+    Query.Aggregate { from = Query.All; where = Query.True; agg = Query.Count };
+    Query.Aggregate { from = Query.All; where = Query.True; agg = Query.Sum "k" };
+    Query.Aggregate { from = Query.All; where = Query.True; agg = Query.Min "k" };
+    Query.Aggregate { from = Query.All; where = Query.True; agg = Query.Max "k" };
+    Query.Aggregate { from = Query.All; where = Query.True; agg = Query.Avg "k" };
+    Query.Select
+      { from = Query.All; where = Query.Field_less ("k", Value.Int 0); project = None; limit = None };
+    Query.Select
+      {
+        from = Query.All;
+        where = Query.Field_greater ("k", Value.Float 0.5);
+        project = None;
+        limit = None;
+      };
+    Query.Select
+      { from = Query.All; where = Query.Field_matches ("k", "^k$"); project = None; limit = None };
+    Query.Select
+      { from = Query.Key ""; where = Query.True; project = Some [ "a"; "" ]; limit = Some max_int };
+    Query.Select
+      { from = Query.Key ""; where = Query.True; project = None; limit = Some min_int };
+  ]
+
 let test_canonical_all_query_forms_distinct () =
   (* Each syntactic query form must have a distinct canonical digest:
      the pledge binds "a copy of the request" and two different
      requests must never collide. *)
-  let forms =
-    [
-      Query.point_read "k";
-      Query.Select { from = Query.Key "k"; where = Query.True; project = Some []; limit = None };
-      Query.Select { from = Query.Key "k"; where = Query.True; project = None; limit = Some 0 };
-      Query.Select { from = Query.Prefix "k"; where = Query.True; project = None; limit = None };
-      Query.Select
-        { from = Query.Key_range { lo = "k"; hi = "k" }; where = Query.True; project = None; limit = None };
-      Query.Select { from = Query.All; where = Query.True; project = None; limit = None };
-      Query.Select
-        { from = Query.All; where = Query.Has_field "k"; project = None; limit = None };
-      Query.Select
-        { from = Query.All; where = Query.Field_equals ("k", Value.Null); project = None; limit = None };
-      Query.Select
-        { from = Query.All; where = Query.Not Query.True; project = None; limit = None };
-      Query.Select
-        { from = Query.All; where = Query.And (Query.True, Query.True); project = None; limit = None };
-      Query.Select
-        { from = Query.All; where = Query.Or (Query.True, Query.True); project = None; limit = None };
-      Query.grep "k";
-      Query.grep ~under:"k" "k";
-      Query.Aggregate { from = Query.All; where = Query.True; agg = Query.Count };
-      Query.Aggregate { from = Query.All; where = Query.True; agg = Query.Sum "k" };
-      Query.Aggregate { from = Query.All; where = Query.True; agg = Query.Min "k" };
-      Query.Aggregate { from = Query.All; where = Query.True; agg = Query.Max "k" };
-      Query.Aggregate { from = Query.All; where = Query.True; agg = Query.Avg "k" };
-    ]
+  let digests =
+    List.map (fun q -> Secrep_crypto.Hex.encode (Canonical.query_digest q)) query_forms
   in
-  let digests = List.map (fun q -> Secrep_crypto.Hex.encode (Canonical.query_digest q)) forms in
-  check int_t "all digests distinct" (List.length forms)
+  check int_t "all digests distinct" (List.length query_forms)
     (List.length (List.sort_uniq String.compare digests))
 
 let test_canonical_query_digest () =
@@ -874,23 +892,226 @@ let prop_codec_query_roundtrip =
       | Ok q' -> Query.equal q q'
       | Error _ -> false)
 
+let gen_result =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun rows -> Query_result.Rows rows)
+          (list_size (int_bound 5) (pair (string_size (int_bound 6)) gen_document));
+        map (fun ms -> Query_result.Matches ms)
+          (list_size (int_bound 5)
+             (triple (string_size (int_bound 6)) (string_size (int_bound 6))
+                (string_size (int_bound 6))));
+        map (fun v -> Query_result.Agg v) gen_value;
+      ])
+
 let prop_codec_result_roundtrip =
-  qtest ~count:200 "codec: result roundtrip"
-    QCheck2.Gen.(
-      oneof
-        [
-          map (fun rows -> Query_result.Rows rows)
-            (list_size (int_bound 5) (pair (string_size (int_bound 6)) gen_document));
-          map (fun ms -> Query_result.Matches ms)
-            (list_size (int_bound 5)
-               (triple (string_size (int_bound 6)) (string_size (int_bound 6))
-                  (string_size (int_bound 6))));
-          map (fun v -> Query_result.Agg v) gen_value;
-        ])
+  qtest ~count:200 "codec: result roundtrip" gen_result
     (fun res ->
       match Codec.decode_result (Codec.encode_result res) with
       | Ok res' -> Query_result.equal res res'
       | Error _ -> false)
+
+(* ---------------- Canonical vs the replaced encoder ---------------- *)
+
+(* [Canonical] writes one encoder against a byte/substring sink and
+   streams digests straight into SHA-1; [Canonical_oracle] is the
+   Buffer/[Printf] encoder it replaced.  Every [of_*] string must be
+   byte-equal to the oracle's, and every streamed digest must equal
+   SHA-1 of the oracle's string. *)
+
+let sha1 = Secrep_crypto.Sha1.digest
+
+let canonical_matches_oracle_value v =
+  String.equal (Canonical.of_value v) (Canonical_oracle.of_value v)
+
+let canonical_matches_oracle_document d =
+  let streamed =
+    let ctx = Secrep_crypto.Sha1.init () in
+    Canonical.feed_document ctx d;
+    Secrep_crypto.Sha1.finalize ctx
+  in
+  String.equal (Canonical.of_document d) (Canonical_oracle.of_document d)
+  && String.equal streamed (sha1 (Canonical_oracle.of_document d))
+
+let canonical_matches_oracle_query q =
+  String.equal (Canonical.of_query q) (Canonical_oracle.of_query q)
+  && String.equal (Canonical.query_digest q) (sha1 (Canonical_oracle.of_query q))
+
+let canonical_matches_oracle_result r =
+  String.equal (Canonical.of_result r) (Canonical_oracle.of_result r)
+  && String.equal (Canonical.result_digest r) (sha1 (Canonical_oracle.of_result r))
+
+let edge_ints = [ min_int; min_int + 1; -10; -9; -1; 0; 1; 9; 10; 99; 100; max_int - 1; max_int ]
+
+let edge_floats =
+  [
+    0.0; -0.0; Float.nan; Float.neg Float.nan; Int64.float_of_bits 0x7FF0000000000001L;
+    Float.infinity; Float.neg_infinity; 5e-324; -5e-324;
+    Int64.float_of_bits 0x000FFFFFFFFFFFFFL; Float.min_float; Float.max_float;
+    Float.neg Float.max_float; 1.0; -1.5; 0.1; Int64.float_of_bits 0x00000000FFFFFFFFL;
+    Int64.float_of_bits 0x0000000100000000L;
+  ]
+
+let edge_values =
+  let open Value in
+  [ Null; Bool true; Bool false; String ""; String (String.make 300 's'); List [];
+    List [ List [] ]; List [ List [ List [ Null ] ]; String ""; List [] ] ]
+  @ List.map (fun i -> Int i) edge_ints
+  @ List.map (fun f -> Float f) edge_floats
+  @ [ List (List.map (fun f -> Float f) edge_floats); List (List.map (fun i -> Int i) edge_ints) ]
+
+let test_canonical_oracle_edges () =
+  List.iter
+    (fun v ->
+      let name = Canonical_oracle.of_value v in
+      check bool_t ("value " ^ String.escaped name) true (canonical_matches_oracle_value v);
+      check bool_t ("agg " ^ String.escaped name) true
+        (canonical_matches_oracle_result (Query_result.Agg v));
+      check bool_t ("document field " ^ String.escaped name) true
+        (canonical_matches_oracle_document (doc [ ("", v); ("f", v) ])))
+    edge_values;
+  List.iter
+    (fun i ->
+      let ctx = Secrep_crypto.Sha1.init () in
+      Canonical.feed_decimal ctx i;
+      check string_t ("decimal " ^ string_of_int i)
+        (Secrep_crypto.Hex.encode (sha1 (string_of_int i)))
+        (Secrep_crypto.Hex.encode (Secrep_crypto.Sha1.finalize ctx)))
+    edge_ints;
+  List.iter
+    (fun r ->
+      check bool_t ("result " ^ String.escaped (Canonical_oracle.of_result r)) true
+        (canonical_matches_oracle_result r))
+    Query_result.
+      [
+        Rows []; Matches []; Rows [ ("", Document.empty) ]; Matches [ ("", "", "") ];
+        Rows [ ("k", doc (List.mapi (fun i v -> (string_of_int i, v)) edge_values)) ];
+      ];
+  List.iter
+    (fun q ->
+      check bool_t ("query " ^ String.escaped (Canonical_oracle.of_query q)) true
+        (canonical_matches_oracle_query q))
+    (query_forms
+    @ List.map
+        (fun v ->
+          Query.Select
+            { from = Query.All; where = Query.Field_equals ("f", v); project = None; limit = None })
+        edge_values)
+
+(* Full-range ints, arbitrary floats and longer strings, which
+   [gen_value] leaves out; lists nest at most three deep. *)
+let gen_wide_value =
+  QCheck2.Gen.(
+    let leaf =
+      oneof
+        [
+          return Value.Null;
+          map (fun b -> Value.Bool b) bool;
+          map (fun i -> Value.Int i) int;
+          map (fun f -> Value.Float f) float;
+          map (fun f -> Value.Float f) (oneofl edge_floats);
+          map (fun s -> Value.String s) (string_size (int_bound 80));
+        ]
+    in
+    fix
+      (fun self depth ->
+        if depth = 0 then leaf
+        else
+          frequency
+            [ (3, leaf); (1, map (fun l -> Value.List l) (list_size (int_bound 4) (self (depth - 1)))) ])
+      3)
+
+let prop_canonical_oracle_values =
+  qtest ~count:300 "canonical: values and documents match the replaced encoder"
+    QCheck2.Gen.(
+      pair gen_wide_value
+        (map Document.of_fields
+           (list_size (int_bound 6) (pair (string_size (int_bound 8)) gen_wide_value))))
+    (fun (v, d) ->
+      canonical_matches_oracle_value v
+      && canonical_matches_oracle_result (Query_result.Agg v)
+      && canonical_matches_oracle_document d)
+
+(* Every query shape over [gen_wide_value] operands, predicates nested
+   at most three deep ([gen_query] draws much larger trees). *)
+let gen_wide_query =
+  QCheck2.Gen.(
+    let name = string_size (int_bound 8) in
+    let predicate =
+      fix
+        (fun self depth ->
+          let leaf =
+            oneof
+              [
+                return Query.True;
+                map2 (fun f v -> Query.Field_equals (f, v)) name gen_wide_value;
+                map2 (fun f v -> Query.Field_less (f, v)) name gen_wide_value;
+                map2 (fun f v -> Query.Field_greater (f, v)) name gen_wide_value;
+                map2 (fun f p -> Query.Field_matches (f, p)) name name;
+                map (fun f -> Query.Has_field f) name;
+              ]
+          in
+          if depth = 0 then leaf
+          else
+            oneof
+              [
+                leaf;
+                map (fun p -> Query.Not p) (self (depth - 1));
+                map2 (fun a b -> Query.And (a, b)) (self (depth - 1)) (self (depth - 1));
+                map2 (fun a b -> Query.Or (a, b)) (self (depth - 1)) (self (depth - 1));
+              ])
+        3
+    in
+    let aggregate =
+      oneof
+        [
+          return Query.Count;
+          map (fun f -> Query.Sum f) name;
+          map (fun f -> Query.Min f) name;
+          map (fun f -> Query.Max f) name;
+          map (fun f -> Query.Avg f) name;
+        ]
+    in
+    oneof
+      [
+        map2
+          (fun (from, where) (project, limit) -> Query.Select { from; where; project; limit })
+          (pair gen_selector predicate)
+          (pair (option (list_size (int_bound 4) name)) (option int));
+        map2 (fun from pattern -> Query.Grep { from; pattern }) gen_selector name;
+        map2
+          (fun (from, where) agg -> Query.Aggregate { from; where; agg })
+          (pair gen_selector predicate) aggregate;
+      ])
+
+let gen_wide_result =
+  QCheck2.Gen.(
+    let name = string_size (int_bound 12) in
+    let document = map Document.of_fields (list_size (int_bound 6) (pair name gen_wide_value)) in
+    oneof
+      [
+        map (fun rows -> Query_result.Rows rows) (list_size (int_bound 8) (pair name document));
+        map (fun ms -> Query_result.Matches ms) (list_size (int_bound 8) (triple name name name));
+        map (fun v -> Query_result.Agg v) gen_wide_value;
+      ])
+
+let prop_canonical_oracle_queries_results =
+  qtest ~count:300 "canonical: queries and results match the replaced encoder"
+    QCheck2.Gen.(pair gen_wide_query gen_wide_result)
+    (fun (q, r) -> canonical_matches_oracle_query q && canonical_matches_oracle_result r)
+
+let test_content_hash_oracle () =
+  let s = fixture_store () in
+  Store.apply s (Oplog.Put { key = "edge"; doc = doc (List.mapi (fun i v -> (string_of_int i, v)) edge_values) });
+  let expected =
+    Store.fold_selector s Query.All
+      ~init:(Printf.sprintf "v%d;" (Store.version s))
+      ~f:(fun acc key d -> acc ^ key ^ "=" ^ Canonical_oracle.of_document d ^ ";")
+  in
+  check string_t "content hash streams the replaced bytes"
+    (Secrep_crypto.Hex.encode (sha1 expected))
+    (Secrep_crypto.Hex.encode (Store.content_hash s))
 
 let prop_codec_never_raises_on_garbage =
   qtest ~count:500 "codec: decoders never raise on random bytes" QCheck2.Gen.string
@@ -1266,6 +1487,12 @@ let () =
             test_canonical_all_query_forms_distinct;
           Alcotest.test_case "query digests" `Quick test_canonical_query_digest;
           prop_canonical_value_injective_ish;
+          Alcotest.test_case "edge values match the replaced encoder" `Quick
+            test_canonical_oracle_edges;
+          prop_canonical_oracle_values;
+          prop_canonical_oracle_queries_results;
+          Alcotest.test_case "content hash matches the replaced encoder" `Quick
+            test_content_hash_oracle;
         ] );
       ( "query_key",
         [
