@@ -135,4 +135,5 @@ let run ?(quick = false) fmt =
       \ \"dedup_hit_rate\": %.4f}\n"
       n_reads baseline.reexecs baseline.signatures optimized.reexecs
       optimized.signatures optimized.dedup_hits optimized.distinct
-      reexec_reduction sig_reduction hit_rate)
+      reexec_reduction sig_reduction hit_rate);
+  Exp_common.gate fmt ~experiment:"e11" [ ("dedup_hits > 0", optimized.dedup_hits > 0) ]

@@ -201,4 +201,10 @@ let run ?(quick = false) fmt =
       \ \"cases\": [%s]}\n"
       duration total_rate pool replication budget monotone all_detected
       within_budget
-      (String.concat ",\n  " (List.map case results)))
+      (String.concat ",\n  " (List.map case results)));
+  Exp_common.gate fmt ~experiment:"e12"
+    [
+      ("monotone_throughput", monotone);
+      ("all_detected", all_detected);
+      ("within_budget", within_budget);
+    ]

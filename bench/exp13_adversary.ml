@@ -341,4 +341,10 @@ let run ?(quick = false) fmt =
       \ \"compared\": [%s]}\n"
       duration trials fraction all_detected
       (no_false && not any_false)
-      uniform_mean adaptive_mean strictly_better part1 part2)
+      uniform_mean adaptive_mean strictly_better part1 part2);
+  Exp_common.gate fmt ~experiment:"e13"
+    [
+      ("all_detected", all_detected);
+      ("zero_false_accusations", no_false && not any_false);
+      ("adaptive_strictly_better", strictly_better);
+    ]

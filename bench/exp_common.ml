@@ -70,3 +70,15 @@ let write_json fmt ~experiment write =
     write oc;
     close_out oc;
     Format.fprintf fmt "wrote JSON summary to %s@." path
+
+let failures = ref []
+
+let gate fmt ~experiment verdicts =
+  List.iter
+    (fun (name, ok) ->
+      let id = experiment ^ "/" ^ name in
+      Format.fprintf fmt "gate %s: %s@." id (if ok then "pass" else "FAIL");
+      if not ok then failures := id :: !failures)
+    verdicts
+
+let failed_gates () = List.rev !failures

@@ -46,3 +46,13 @@ val write_json : Format.formatter -> experiment:string -> (out_channel -> unit) 
 (** [write_json fmt ~experiment write] runs [write] on
     [DIR/<experiment>.json] and announces the path on [fmt]; a no-op
     without [--json]. *)
+
+val gate : Format.formatter -> experiment:string -> (string * bool) list -> unit
+(** [gate fmt ~experiment verdicts] prints each [(name, ok)] verdict as
+    [gate <experiment>/<name>: pass|FAIL] and records the failures.
+    An experiment judges its own gates here, after writing its JSON,
+    and carries on; [bench/main.exe] exits 1 once every selected
+    experiment has run if any gate failed. *)
+
+val failed_gates : unit -> string list
+(** The [experiment/name] of every failed gate so far, in order. *)

@@ -5,8 +5,12 @@
    With no arguments every experiment plus the micro-benchmarks run in
    quick mode; --full lengthens the runs (more trials, longer
    simulated durations); --json DIR makes E11-E15 also write their
-   machine-readable summaries to DIR/e11.json .. DIR/e15.json.  Each experiment regenerates one table or
-   figure of EXPERIMENTS.md. *)
+   machine-readable summaries to DIR/e11.json .. DIR/e15.json.  Each
+   experiment regenerates one table or figure of EXPERIMENTS.md.
+   E11-E15 also judge their own gates (detection, determinism,
+   bit-identity, speedup bounds): once every selected experiment has
+   run and written its JSON, the harness exits 1 naming each failed
+   gate. *)
 
 let experiments =
   [
@@ -69,4 +73,9 @@ let () =
         Format.fprintf fmt "unknown experiment %S; available: %s@." name
           (String.concat ", " (List.map (fun (n, _, _) -> n) experiments));
         exit 1)
-    selected
+    selected;
+  match Secrep_experiments.Exp_common.failed_gates () with
+  | [] -> ()
+  | failed ->
+    Format.fprintf fmt "@.failed gates: %s@." (String.concat ", " failed);
+    exit 1

@@ -365,7 +365,9 @@ let finish sim out ~print_report =
 open Cmdliner
 
 (* Topology flags; per-command defaults come in as arguments.  Without
-   [shards_doc] the command has no sharding flags and runs K = 1. *)
+   [shards_doc] the command has no sharding flags and runs K = 1.  This
+   term and [workload_term] reject values that cannot be run with exit
+   2, rather than crash or silently run another topology. *)
 let topology_term ?shards_doc ~clients ~items ~seed_doc () =
   let masters = Arg.(value & opt int 2 & info [ "masters" ] ~doc:"Number of master servers.") in
   let slaves =
@@ -393,16 +395,30 @@ let topology_term ?shards_doc ~clients ~items ~seed_doc () =
           & opt (some int) None
           & info [ "replication-factor" ]
               ~doc:
-                "Replicas per content item (default: masters x slaves-per-master).  \
-                 Overrides --slaves-per-master with R / masters.") )
+                "Replicas per content item, a multiple of --masters (default: masters x \
+                 slaves-per-master).  Overrides --slaves-per-master with R / masters.") )
   in
   Term.(
     const (fun masters slaves shards domains replication_factor clients items seed ->
-        let slaves_per_master, replication =
+        List.iter
+          (fun (flag, v) -> if v < 1 then fail "%s must be at least 1 (got %d)" flag v)
+          [
+            ("--masters", masters);
+            ("--slaves-per-master", slaves);
+            ("--shards", shards);
+            ("--replication-factor", Option.value replication_factor ~default:1);
+            ("--clients", clients);
+            ("--items", items);
+          ];
+        if domains < 0 then fail "--domains must be non-negative (got %d)" domains;
+        let slaves_per_master =
           match replication_factor with
-          | Some r -> (max 1 (r / max 1 masters), r)
-          | None -> (slaves, masters * slaves)
+          | Some r when r mod masters <> 0 ->
+            fail "--replication-factor (%d) must be a multiple of --masters (%d)" r masters
+          | Some r -> r / masters
+          | None -> slaves
         in
+        let replication = masters * slaves_per_master in
         { masters; slaves_per_master; replication; shards; domains; clients; items; seed })
     $ masters $ slaves $ shards $ domains $ replication_factor $ clients $ items $ seed)
 
@@ -415,7 +431,14 @@ let workload_term ~duration ~duration_doc ~read_rate =
     Arg.(value & opt float 0.05 & info [ "write-rate" ] ~doc:"Writes per second (0 = none).")
   in
   Term.(
-    const (fun duration read_rate write_rate -> { duration; read_rate; write_rate })
+    const (fun duration read_rate write_rate ->
+        if not (Float.is_finite duration && duration > 0.0) then
+          fail "--duration must be a finite positive number (got %g)" duration;
+        if not (Float.is_finite read_rate && read_rate > 0.0) then
+          fail "--read-rate must be a finite positive number (got %g)" read_rate;
+        if not (Float.is_finite write_rate && write_rate >= 0.0) then
+          fail "--write-rate must be a finite non-negative number (got %g)" write_rate;
+        { duration; read_rate; write_rate })
     $ duration $ read_rate $ write_rate)
 
 (* Trace, metrics and monitoring output; [metrics] adds --metrics-out. *)

@@ -3,10 +3,7 @@ module Config = Secrep_core.Config
 module Fault = Secrep_core.Fault
 module Sim = Secrep_sim.Sim
 module Trace = Secrep_sim.Trace
-module Event = Secrep_sim.Event
 module Prng = Secrep_crypto.Prng
-module Sha1 = Secrep_crypto.Sha1
-module Hex = Secrep_crypto.Hex
 module Catalog = Secrep_workload.Catalog
 module Schedule = Secrep_chaos.Schedule
 module Injector = Secrep_chaos.Injector
@@ -332,12 +329,4 @@ let run_sharded ?domains scenario =
       ~run_until:(Deployment.run_until d)
   end
 
-let events_digest result =
-  let ctx = Sha1.init () in
-  List.iter
-    (fun (r : Trace.record) ->
-      Sha1.feed ctx
-        (Printf.sprintf "%.9f|%s|%s\n" r.Trace.time r.Trace.source
-           (Event.to_string r.Trace.event)))
-    result.events;
-  Hex.encode (Sha1.finalize ctx)
+let events_digest result = Trace.digest result.events

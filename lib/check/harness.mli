@@ -101,6 +101,6 @@ val read_slack : Secrep_core.Config.t -> float
     and the degraded master fallback; part of every settle horizon. *)
 
 val events_digest : run_result -> string
-(** SHA-1 over the rendered event stream (time, source, event); equal
-    digests mean equal streams.  Used by the determinism tests and the
-    replay documentation. *)
+(** {!Secrep_sim.Trace.digest} of the captured stream; equal digests
+    mean equal streams.  Used by the determinism tests and the replay
+    documentation. *)

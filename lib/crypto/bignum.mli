@@ -68,12 +68,6 @@ val mod_exp_schoolbook : base:t -> exp:t -> modulus:t -> t
     full division per step.  Kept as the reference for differential
     tests and as the baseline the E15 bench measures against. *)
 
-val use_montgomery : bool ref
-(** When [false], {!mod_exp} (and the RSA/Miller-Rabin fast paths built
-    on {!Mont}) fall back to the schoolbook kernel.  Defaults to
-    [true]; benches flip it to measure the seed baseline.  Toggle only
-    while no other domain is computing. *)
-
 module Mont : sig
   (** Montgomery arithmetic for a fixed odd modulus m of k limbs,
       with R = 2^(26k).  A per-modulus context precomputes

@@ -74,11 +74,9 @@ let is_probable_prime ?(rounds = 24) g n =
       let d, s = split n1 0 in
       (* One Montgomery context shared by all rounds for this n. *)
       let ctx =
-        if not !Bignum.use_montgomery then None
-        else
-          match Bignum.Mont.make n with
-          | None -> None
-          | Some c -> Some (c, Bignum.Mont.one c, Bignum.Mont.to_mont c n1)
+        Option.map
+          (fun c -> (c, Bignum.Mont.one c, Bignum.Mont.to_mont c n1))
+          (Bignum.Mont.make n)
       in
       let three = Bignum.of_int 3 in
       let rec rounds_left k =

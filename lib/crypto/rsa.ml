@@ -21,14 +21,15 @@ let e65537 = Bignum.of_int 65537
 let make_public ~n ~e = { n; e; n_mont = Bignum.Mont.make n }
 
 (* All exponentiations go through here: the cached Montgomery context
-   when there is one and the kernel is enabled, the seed schoolbook
-   path otherwise (even/degenerate moduli from hostile decodes, moduli
-   above [Bignum.Mont.max_limbs], or the E15 baseline flag).  Both
-   compute the identical value. *)
+   when there is one, the seed schoolbook path otherwise (even or
+   degenerate moduli from hostile decodes, moduli above
+   [Bignum.Mont.max_limbs], or a key whose contexts were cleared to
+   measure the baseline, as E15 does).  Both compute the identical
+   value. *)
 let mexp ctx ~base ~exp ~modulus =
   match ctx with
-  | Some c when !Bignum.use_montgomery -> Bignum.Mont.exp c ~base ~exp
-  | _ -> Bignum.mod_exp_schoolbook ~base ~exp ~modulus
+  | Some c -> Bignum.Mont.exp c ~base ~exp
+  | None -> Bignum.mod_exp_schoolbook ~base ~exp ~modulus
 
 let generate g ~bits =
   if bits < 64 then invalid_arg "Rsa.generate: modulus too small";
@@ -73,6 +74,9 @@ let generate g ~bits =
     end
   in
   attempt ()
+
+let schoolbook key =
+  { key with pub = { key.pub with n_mont = None }; p_mont = None; q_mont = None }
 
 let key_bytes pub = (Bignum.bit_length pub.n + 7) / 8
 

@@ -11,9 +11,10 @@ type public_key = {
   e : Bignum.t;
   n_mont : Bignum.Mont.ctx option;
       (* Montgomery context for n, built once at key creation/decode;
-         [None] only for degenerate (even or trivial) decoded moduli
-         and moduli above [Bignum.Mont.max_limbs] limbs, which then
-         verify via the schoolbook path. *)
+         [None] for degenerate (even or trivial) decoded moduli and
+         moduli above [Bignum.Mont.max_limbs] limbs.  Every context
+         is optional: where one is [None] the key exponentiates on
+         the seed schoolbook path, to the same bits; see [schoolbook]. *)
 }
 
 type private_key = {
@@ -35,6 +36,11 @@ val make_public : n:Bignum.t -> e:Bignum.t -> public_key
 val generate : Prng.t -> bits:int -> private_key
 (** [generate g ~bits] makes a fresh key with a [bits]-bit modulus and
     public exponent 65537.  Requires [bits >= 64]. *)
+
+val schoolbook : private_key -> private_key
+(** The same key with every Montgomery context set to [None]: it signs
+    and verifies to the same bits on the seed schoolbook path.  E15 and
+    the differential tests time and cross-check that baseline through it. *)
 
 val key_bytes : public_key -> int
 (** Size of the modulus in bytes; signatures have this length. *)

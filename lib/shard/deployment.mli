@@ -60,8 +60,10 @@ val create :
     slaves onto fresh pool hosts after [provision_delay] (default two
     keep-alive periods); turn it off for strict differential runs
     against standalone systems that lack a re-homing operator.
-    [domains] (default {!Secrep_core.Config.t.parallel_domains}) caps
-    the worker-domain pool; 0 and 1 select the sequential scheduler. *)
+    [domains] (default 0) caps the worker-domain pool; 0 and 1 select
+    the sequential lockstep scheduler, [W > 1] advances each slice of
+    the shards on [W] domains and merges their events back into the
+    sequential order ([(sim_time, shard, seq)]), bit-identically. *)
 
 (** {2 Seed derivation} — shared with the differential tests so the
     standalone reference systems can be built from identical inputs. *)

@@ -23,6 +23,15 @@ let emit t ~time ~source event =
 
 let log t ~time ~source msg = emit t ~time ~source (Event.Log msg)
 
+let digest records =
+  let ctx = Secrep_crypto.Sha1.init () in
+  List.iter
+    (fun r ->
+      Secrep_crypto.Sha1.feed ctx
+        (Printf.sprintf "%.9f|%s|%s\n" r.time r.source (Event.to_string r.event)))
+    records;
+  Secrep_crypto.Hex.encode (Secrep_crypto.Sha1.finalize ctx)
+
 let size t = min t.total t.capacity
 let total_logged t = t.total
 let capacity t = t.capacity

@@ -31,6 +31,13 @@ val on_emit : t -> (record -> unit) -> unit
 val log : t -> time:float -> source:string -> string -> unit
 (** [log t ~time ~source msg] = [emit t ~time ~source (Event.Log msg)]. *)
 
+val digest : record list -> string
+(** Hex SHA-1 of a complete event stream, one
+    ["%.9f|source|event\n"] line per record.  Two runs are
+    bit-identical exactly when their captured streams have equal
+    digests; the fuzz harness, the shard and parallel oracles and the
+    pinned end-to-end tests all compare this value. *)
+
 val size : t -> int
 (** Records still retained (at most the capacity). *)
 

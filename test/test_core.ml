@@ -684,11 +684,8 @@ let test_e2e_rsa_events_digest_pinned () =
     }
   in
   let system = make_system ~config ~seed:512L () in
-  let sha = Secrep_crypto.Sha1.init () in
-  Trace.on_emit (System.trace system) (fun r ->
-      Secrep_crypto.Sha1.feed sha
-        (Printf.sprintf "%.9f|%s|%s\n" r.Trace.time r.Trace.source
-           (Event.to_string r.Trace.event)));
+  let stream = ref [] in
+  Trace.on_emit (System.trace system) (fun r -> stream := r :: !stream);
   let victim = System.slave_of_client system 0 in
   System.set_slave_behavior system ~slave:victim
     (Fault.Malicious { probability = 0.5; mode = Fault.Corrupt_result; from_time = 20.0 });
@@ -699,7 +696,7 @@ let test_e2e_rsa_events_digest_pinned () =
   System.run_for system 60.0;
   check int_t "reads completed" 100 (List.length !reports);
   check string_t "events digest" "ca56227f236e208ed5c50c6055096342a9061eb7"
-    (Secrep_crypto.Hex.encode (Secrep_crypto.Sha1.finalize sha))
+    (Trace.digest (List.rev !stream))
 
 let test_e2e_event_taxonomy () =
   (* A run with writes, double-checking and a liar exercises most of

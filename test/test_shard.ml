@@ -19,8 +19,6 @@ module Sim = Secrep_sim.Sim
 module Trace = Secrep_sim.Trace
 module Event = Secrep_sim.Event
 module Export = Secrep_sim.Export
-module Sha1 = Secrep_crypto.Sha1
-module Hex = Secrep_crypto.Hex
 module Prng = Secrep_crypto.Prng
 module Catalog = Secrep_workload.Catalog
 module Query = Secrep_store.Query
@@ -141,16 +139,6 @@ let base_config =
       double_check_probability = 0.05;
     }
 
-let digest records =
-  let ctx = Sha1.init () in
-  List.iter
-    (fun (r : Trace.record) ->
-      Sha1.feed ctx
-        (Printf.sprintf "%.9f|%s|%s\n" r.Trace.time r.Trace.source
-           (Event.to_string r.Trace.event)))
-    records;
-  Hex.encode (Sha1.finalize ctx)
-
 let capture sys =
   let rev = ref [] in
   Trace.on_emit (System.trace sys) (fun r -> rev := r :: !rev);
@@ -232,7 +220,7 @@ let differential ?(k = 4) ?(seed = 77L) ?(items = 6) ?(replication = 3) ?liar ~h
       let label fmt = Printf.sprintf fmt i in
       check string_t
         (label "shard %d stream bit-identical to standalone")
-        (digest (ref_stream ())) (digest (dep_stream ()));
+        (Trace.digest (ref_stream ())) (Trace.digest (dep_stream ()));
       let dep_sys = Deployment.system d i in
       check (Alcotest.list int_t)
         (label "shard %d verdicts identical")
@@ -517,7 +505,7 @@ let parallel_run ~domains ?(liar = false) ?(chaos = false) () =
     Deployment.recover_host d ~at:20.0 victim
   end;
   Deployment.run_until d 40.0;
-  (d, List.map (fun s -> digest (s ())) shard_streams, List.rev !lines)
+  (d, List.map (fun s -> Trace.digest (s ())) shard_streams, List.rev !lines)
 
 let test_parallel_streams_identical () =
   let _, seq_digests, seq_lines = parallel_run ~domains:0 () in

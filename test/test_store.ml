@@ -205,32 +205,37 @@ let rec rx_to_string = function
   | Alt (a, b) -> "(" ^ rx_to_string a ^ "|" ^ rx_to_string b ^ ")"
   | Star a -> "(" ^ rx_to_string a ^ ")*"
 
-exception Ref_gave_up
-
-(* [ref_match rx s ~start ~finish]: can rx consume s from [start] to
-   some j with [finish j]?  [depth] bounds the backtracking; when the
-   bound trips, the oracle abstains (Ref_gave_up) rather than
-   mis-reporting "no match". *)
-let ref_match rx s ~start ~finish =
+(* [ref_ends rx s] is the match relation of rx over s: [m.(i).(j)] is
+   true when rx consumes exactly s[i..j).  It is built bottom-up over
+   the AST: a character marks single steps, [Seq] is the boolean matrix
+   product, [Alt] the union and [Star] the reflexive-transitive closure,
+   so the oracle is exact and costs O(|rx| n^3) whatever the nesting. *)
+let ref_ends rx s =
   let n = String.length s in
-  let rec go rx i depth k =
-    if depth > 400 then raise Ref_gave_up;
-    match rx with
-    | Chr c -> i < n && s.[i] = c && k (i + 1)
-    | Seq (a, b) -> go a i (depth + 1) (fun j -> go b j (depth + 1) k)
-    | Alt (a, b) -> go a i (depth + 1) k || go b i (depth + 1) k
+  let make f = Array.init (n + 1) (fun i -> Array.init (n + 1) (fun j -> f i j)) in
+  let rec go = function
+    | Chr c -> make (fun i j -> j = i + 1 && s.[i] = c)
+    | Seq (a, b) ->
+      let a = go a and b = go b in
+      make (fun i j -> List.exists (fun k -> a.(i).(k) && b.(k).(j)) (List.init (n + 1) Fun.id))
+    | Alt (a, b) ->
+      let a = go a and b = go b in
+      make (fun i j -> a.(i).(j) || b.(i).(j))
     | Star a ->
-      k i
-      || go a i (depth + 1) (fun j -> if j > i then go (Star a) j (depth + 1) k else false)
+      let m = go a in
+      let c = make (fun i j -> i = j || m.(i).(j)) in
+      for k = 0 to n do
+        for i = 0 to n do
+          if c.(i).(k) then for j = 0 to n do if c.(k).(j) then c.(i).(j) <- true done
+        done
+      done;
+      c
   in
-  go rx start 0 finish
+  go rx
 
-let ref_match_exact rx s = ref_match rx s ~start:0 ~finish:(fun j -> j = String.length s)
+let ref_match_exact rx s = (ref_ends rx s).(0).(String.length s)
 
-let ref_match_substring rx s =
-  List.exists
-    (fun start -> ref_match rx s ~start ~finish:(fun _ -> true))
-    (List.init (String.length s + 1) Fun.id)
+let ref_match_substring rx s = Array.exists (Array.exists Fun.id) (ref_ends rx s)
 
 let gen_rx =
   QCheck2.Gen.(
@@ -255,13 +260,8 @@ let prop_regex_vs_reference =
     (fun (rx, s) ->
       let pattern = rx_to_string rx in
       let compiled = Regex.compile pattern in
-      (match ref_match_exact rx s with
-      | expected -> Regex.matches_exact compiled s = expected
-      | exception Ref_gave_up -> true)
-      &&
-      match ref_match_substring rx s with
-      | expected -> Regex.matches compiled s = expected
-      | exception Ref_gave_up -> true)
+      Regex.matches_exact compiled s = ref_match_exact rx s
+      && Regex.matches compiled s = ref_match_substring rx s)
 
 (* Differential properties against the original NFA simulation
    (test/regex_oracle.ml), over the whole pattern syntax. *)
@@ -345,9 +345,12 @@ let test_value_numeric () =
   check bool_t "as_float widens int" true (as_float (Int 2) = Some 2.0);
   check bool_t "as_int strict" true (as_int (Float 2.0) = None)
 
+(* Sizes are at most 16, so lists nest at most five deep: an unbounded
+   [sized] draw reaches megabytes once [gen_predicate] and [gen_result]
+   embed it.  [test_codec_deep_value] keeps large encodings covered. *)
 let gen_value =
   QCheck2.Gen.(
-    sized @@ fix (fun self n ->
+    sized_size (int_bound 16) @@ fix (fun self n ->
         if n = 0 then
           oneof
             [
@@ -1154,6 +1157,32 @@ let test_codec_negative_int () =
   | Ok v -> check bool_t "negative int survives" true (Value.equal v (Value.Int (-42)))
   | Error msg -> Alcotest.fail msg
 
+(* One deterministic deep value, depth 7 and width 4 (16,384 leaves of
+   every kind), through the codec round trip and the canonical encoder. *)
+let test_codec_deep_value () =
+  let leaf i =
+    match i mod 5 with
+    | 0 -> Value.Null
+    | 1 -> Value.Bool (i mod 2 = 0)
+    | 2 -> Value.Int (i * 7919)
+    | 3 -> Value.Float (float_of_int i /. 3.0)
+    | _ -> Value.String (String.make (i mod 11) 'x')
+  in
+  let rec deep depth i =
+    if depth = 0 then leaf i
+    else Value.List (List.init 4 (fun j -> deep (depth - 1) ((4 * i) + j)))
+  in
+  let v = deep 7 0 in
+  (match Codec.decode_value (Codec.encode_value v) with
+  | Ok v' -> check bool_t "value survives" true (Value.equal v v')
+  | Error msg -> Alcotest.fail msg);
+  (match Codec.decode_result (Codec.encode_result (Query_result.Agg v)) with
+  | Ok r -> check bool_t "result survives" true (Query_result.equal (Query_result.Agg v) r)
+  | Error msg -> Alcotest.fail msg);
+  check bool_t "canonical matches the replaced encoder" true
+    (canonical_matches_oracle_value v
+    && canonical_matches_oracle_result (Query_result.Agg v))
+
 (* ---------------- Result_cache ---------------- *)
 
 let test_result_cache_hit_miss () =
@@ -1517,6 +1546,7 @@ let () =
           prop_codec_truncation_fails_cleanly;
           Alcotest.test_case "entries roundtrip" `Quick test_codec_entries_roundtrip;
           Alcotest.test_case "negative int" `Quick test_codec_negative_int;
+          Alcotest.test_case "deep value" `Quick test_codec_deep_value;
           Alcotest.test_case "adversarial values" `Quick test_codec_roundtrip_adversarial_values;
           Alcotest.test_case "adversarial strings" `Quick
             test_codec_roundtrip_adversarial_strings;
